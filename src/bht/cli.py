@@ -15,9 +15,6 @@ from . import abelian, element, textio, verify, vembed, witness
 from .errors import DomainError, ParseError
 from .space import SpaceSpec
 
-DEFAULT_SEED = 0
-
-
 def _parse_space_arg(text: str) -> SpaceSpec:
     try:
         nums = [int(p) for p in text.split(",")]
@@ -259,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--porcelain", action="store_true",
                         help="emit key=value output for scripting")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized subcommands (default %d)" % DEFAULT_SEED)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compose", help="compose two tables (right acts first)")

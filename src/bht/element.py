@@ -18,9 +18,16 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .space import Brick, Clopen, RationalPoint, SpaceSpec
+from .space import Brick, Clopen, RationalPoint, SpaceSpec, merge_families
 
 Cell = tuple[Brick, Brick]
+
+
+def _check_disjoint(side: str, bricks: list[Brick]):
+    for i, b in enumerate(bricks):
+        for b2 in bricks[i + 1:]:
+            if not b.is_disjoint(b2):
+                raise DomainError("%s bricks overlap: %r, %r" % (side, b, b2))
 
 
 class PrefixBijection:
@@ -33,15 +40,8 @@ class PrefixBijection:
         for d, r in cells:
             d.validate(space)
             r.validate(space)
-        for i, (d, _) in enumerate(cells):
-            for d2, _ in cells[i + 1:]:
-                if not d.is_disjoint(d2):
-                    raise DomainError("source bricks overlap: %r, %r" % (d, d2))
-        rans = sorted(r for _, r in cells)
-        for i, r in enumerate(rans):
-            for r2 in rans[i + 1:]:
-                if not r.is_disjoint(r2):
-                    raise DomainError("target bricks overlap: %r, %r" % (r, r2))
+        _check_disjoint("source", [d for d, _ in cells])
+        _check_disjoint("target", sorted(r for _, r in cells))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cells", tuple(cells))
 
@@ -154,51 +154,8 @@ def invert(g: TableElement) -> TableElement:
 
 
 def canonicalize(g: TableElement) -> TableElement:
-    """Merge complete sibling cell families, lowest dimension first.
-
-    A family along dimension j is a set of k_j cells obtained from a parent
-    cell by appending the same letter to the source and target words in
-    dimension j.  Within one dimension families never overlap, so dimension 0
-    is merged in rounds; higher dimensions merge one family at a time
-    (smallest parent first) and restart, which keeps the result deterministic
-    even though families along different dimensions may share cells.
-    """
-    space = g.space
-    cells = set(g.cells)
-
-    def complete(dim: int) -> list[Cell]:
-        buckets: dict[Cell, set[int]] = {}
-        for d, r in cells:
-            dw, rw = d.words[dim], r.words[dim]
-            if dw and rw and dw[-1] == rw[-1]:
-                parent = (
-                    Brick(d.root, d.words[:dim] + (dw[:-1],) + d.words[dim + 1:]),
-                    Brick(r.root, r.words[:dim] + (rw[:-1],) + r.words[dim + 1:]),
-                )
-                buckets.setdefault(parent, set()).add(dw[-1])
-        k = space.kbar[dim]
-        return [parent for parent, letters in buckets.items() if len(letters) == k]
-
-    def merge(parent: Cell, dim: int):
-        pd, pr = parent
-        for a in range(space.kbar[dim]):
-            cells.discard((pd.child(dim, a), pr.child(dim, a)))
-        cells.add(parent)
-
-    while True:
-        parents = complete(0)
-        while parents:
-            for p in parents:
-                merge(p, 0)
-            parents = complete(0)
-        for j in range(1, space.n):
-            parents = complete(j)
-            if parents:
-                merge(min(parents), j)
-                break
-        else:
-            break
-    return TableElement._wrap(space, cells)
+    """Merge complete sibling cell families (see :func:`bht.space.merge_families`)."""
+    return TableElement._wrap(g.space, merge_families(g.space, g.cells))
 
 
 def is_identity(g: TableElement) -> bool:

@@ -9,14 +9,12 @@ compare equal exactly when they denote the same point set.
 
 Canonical form: the brick list is made disjoint, rebuilt as a dimension-major
 decision tree (split a dimension only where the set genuinely depends on it,
-lowest dimension first), and then complete sibling families are merged one at
-a time, always taking the lowest dimension first and the smallest merged brick
-next.  The decision-tree stage depends only on the point set, never on the
-representation handed in, which makes the final form unique; the
-one-at-a-time merge discipline matters for n > 1, where families along
-different dimensions can overlap and merging order would otherwise change the
-result.  Bricks are finally sorted by root, then dimension-major with
-prefixes first.
+lowest dimension first), and then complete sibling families are merged by
+:func:`merge_families`, the kernel that also normalises prefix-exchange
+tables in :mod:`bht.element` (a brick is passed as the cell ``(b, b)``).  The
+decision-tree stage depends only on the point set, never on the
+representation handed in, which makes the final form unique.  Bricks are
+finally sorted by root, then dimension-major with prefixes first.
 
 All values here are immutable after construction and every operation is a
 pure function, so they can be shared freely between workers.
@@ -185,15 +183,20 @@ def brick_subtract(space: SpaceSpec, b: Brick, c: Brick) -> list[Brick]:
     raise AssertionError("unreachable: overlapping bricks with equal depths")
 
 
+def _subtract_all(space: SpaceSpec, b: Brick, others: Iterable[Brick]) -> list[Brick]:
+    """Bricks covering b minus the union of ``others``."""
+    pieces = [b]
+    for c in others:
+        pieces = [q for p in pieces for q in brick_subtract(space, p, c)]
+        if not pieces:
+            break
+    return pieces
+
+
 def _disjointify(space: SpaceSpec, bricks: Iterable[Brick]) -> list[Brick]:
     out: list[Brick] = []
     for b in bricks:
-        pieces = [b]
-        for c in out:
-            pieces = [q for p in pieces for q in brick_subtract(space, p, c)]
-            if not pieces:
-                break
-        out.extend(pieces)
+        out.extend(_subtract_all(space, b, out))
     return out
 
 
@@ -241,39 +244,52 @@ def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) ->
     return out
 
 
-def _merge_families(space: SpaceSpec, cells: set[Brick]) -> list[Brick]:
-    # Lowest dimension first; within dimension 0 complete families never
-    # overlap, so they are merged in rounds.  Higher dimensions merge a single
-    # family (smallest parent) and restart, keeping the result deterministic.
-    def complete_parents(dim: int) -> list[Brick]:
-        buckets: dict[tuple, set[int]] = {}
-        for b in cells:
-            w = b.words[dim]
-            if w:
-                key = (b.root, b.words[:dim], w[:-1], b.words[dim + 1:])
-                buckets.setdefault(key, set()).add(w[-1])
-        k = space.kbar[dim]
-        out = []
-        for (root, before, stem, after), letters in buckets.items():
-            if len(letters) == k:
-                out.append(Brick(root, before + (stem,) + after))
-        return out
+def merge_families(space: SpaceSpec, cells: Iterable[tuple[Brick, Brick]]) -> list[tuple[Brick, Brick]]:
+    """Merge complete sibling families of (source, target) cells, sorted.
 
-    def merge_parent(parent: Brick, dim: int):
+    A family along dimension j is a set of k_j cells obtained from a parent
+    cell by appending the same letter to the source and target words in
+    dimension j.  Within one dimension families never overlap, so dimension 0
+    is merged in rounds; higher dimensions merge one family at a time
+    (smallest parent first) and restart, which keeps the result deterministic
+    even though families along different dimensions may share cells.  Tables
+    pass their cells; clopens pass each brick b as the cell ``(b, b)``.
+    """
+    cells = set(cells)
+
+    def complete(dim: int) -> list[tuple[Brick, Brick]]:
+        # Keyed by plain tuples; only complete parents become bricks.
+        buckets: dict[tuple, set[int]] = {}
+        for d, r in cells:
+            dw, rw = d.words[dim], r.words[dim]
+            if dw and rw and dw[-1] == rw[-1]:
+                key = (
+                    d.root, d.words[:dim] + (dw[:-1],) + d.words[dim + 1:],
+                    r.root, r.words[:dim] + (rw[:-1],) + r.words[dim + 1:],
+                )
+                buckets.setdefault(key, set()).add(dw[-1])
+        k = space.kbar[dim]
+        return [
+            (Brick(dr, dp), Brick(rr, rp))
+            for (dr, dp, rr, rp), letters in buckets.items() if len(letters) == k
+        ]
+
+    def merge(parent: tuple[Brick, Brick], dim: int):
+        pd, pr = parent
         for a in range(space.kbar[dim]):
-            cells.discard(parent.child(dim, a))
+            cells.discard((pd.child(dim, a), pr.child(dim, a)))
         cells.add(parent)
 
     while True:
-        parents = complete_parents(0)
+        parents = complete(0)
         while parents:
             for p in parents:
-                merge_parent(p, 0)
-            parents = complete_parents(0)
+                merge(p, 0)
+            parents = complete(0)
         for j in range(1, space.n):
-            parents = complete_parents(j)
+            parents = complete(j)
             if parents:
-                merge_parent(min(parents), j)
+                merge(min(parents), j)
                 break
         else:
             break
@@ -288,11 +304,12 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
     by_root: dict[int, list[tuple[Word, ...]]] = {}
     for b in disjoint:
         by_root.setdefault(b.root, []).append(b.words)
-    sectioned = set()
+    sectioned = []
     for root, boxes in by_root.items():
         for words in _section_words(space, 0, boxes):
-            sectioned.add(Brick(root, words))
-    return tuple(_merge_families(space, sectioned))
+            b = Brick(root, words)
+            sectioned.append((b, b))
+    return tuple(b for b, _ in merge_families(space, sectioned))
 
 
 class Clopen:
@@ -353,15 +370,9 @@ class Clopen:
 
     def difference(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
-        out = []
-        for b in self.bricks:
-            pieces = [b]
-            for c in other.bricks:
-                pieces = [q for p in pieces for q in brick_subtract(self.space, p, c)]
-                if not pieces:
-                    break
-            out.extend(pieces)
-        return Clopen(self.space, out)
+        return Clopen(self.space, [
+            p for b in self.bricks for p in _subtract_all(self.space, b, other.bricks)
+        ])
 
     def complement(self) -> "Clopen":
         return self.space.full().difference(self)
@@ -377,24 +388,6 @@ class Clopen:
 
     def h0_class(self) -> int:
         return len(self.bricks) % self.space.g
-
-
-def clopen_algebra(a: Clopen, b: "Clopen | None", op: str):
-    """Dispatch set algebra by name: union, intersect, difference,
-    complement (unary) or subset-test (boolean)."""
-    if op == "complement":
-        return a.complement()
-    if b is None:
-        raise DomainError("operation %r needs two operands" % op)
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "difference":
-        return a.difference(b)
-    if op in ("subset", "subset-test"):
-        return a.issubset(b)
-    raise DomainError("unknown set operation %r" % op)
 
 
 def h0_class(x: Clopen) -> int:

@@ -6,32 +6,55 @@ is a list of (ok, description) pairs, one per postcondition.
 """
 
 from .element import (
+    PrefixBijection,
     TableElement,
     closed_support,
     compose,
     equals,
     image_clopen,
     invert,
-    is_identity,
     order,
 )
 from .errors import ParseError
-from .space import Clopen, point_in
+from .space import Clopen, SpaceSpec, point_in
 from .textio import Witness, parse_point
-from .vembed import VEmbedding, evaluate_embedding
-from .witness import avoiding_neighborhood, vigor_case
+from .vembed import VEmbedding, binary_space, evaluate_embedding
+from .witness import vigor_case
 
 Check = tuple[bool, str]
 
+_KIND_NAMES = {Clopen: "clopen", PrefixBijection: "bisection", TableElement: "table"}
 
-def _need(w: Witness, name: str):
+
+def _need(w: Witness, name: str, kind: type = Clopen, space: SpaceSpec | None = None):
+    """Block ``name`` of ``w``, checked to be a ``kind`` over ``space``.
+
+    ``space`` defaults to the space of the witness's first block; a table is
+    also accepted where a bisection is needed.
+    """
     if name not in w.blocks:
         raise ParseError("witness %r is missing block %r" % (w.kind, name))
-    return w.blocks[name]
+    block = w.blocks[name]
+    if not isinstance(block, kind):
+        raise ParseError("witness %r block %r is not a %s" % (w.kind, name, _KIND_NAMES[kind]))
+    if space is None:
+        space = next(iter(w.blocks.values())).space
+    if block.space != space:
+        raise ParseError("witness %r block %r is over %s, expected %s" % (
+            w.kind, name, block.space, space))
+    return block
+
+
+def _int_param(w: Witness, key: str) -> int:
+    try:
+        return int(w.params.get(key, "0"))
+    except ValueError:
+        raise ParseError("witness %r parameter %r must be an integer" % (w.kind, key)) from None
 
 
 def _check_compress(w: Witness) -> list[Check]:
-    a, b, out = _need(w, "A"), _need(w, "B"), _need(w, "output")
+    a, b = _need(w, "A"), _need(w, "B")
+    out = _need(w, "output", PrefixBijection)
     return [
         (out.source == a, "source equals A"),
         (out.image.issubset(b), "image inside B"),
@@ -41,7 +64,7 @@ def _check_compress(w: Witness) -> list[Check]:
 
 def _check_double(w: Witness) -> list[Check]:
     x = _need(w, "X")
-    b1, b2 = _need(w, "output1"), _need(w, "output2")
+    b1, b2 = _need(w, "output1", PrefixBijection), _need(w, "output2", PrefixBijection)
     union = b1.image.union(b2.image)
     return [
         (b1.source == x, "first source equals X"),
@@ -53,7 +76,8 @@ def _check_double(w: Witness) -> list[Check]:
 
 
 def _check_between(w: Witness) -> list[Check]:
-    a, b, out = _need(w, "A"), _need(w, "B"), _need(w, "output")
+    a, b = _need(w, "A"), _need(w, "B")
+    out = _need(w, "output", PrefixBijection)
     return [
         (out.source == a, "source equals A"),
         (out.image == b, "image equals B"),
@@ -62,7 +86,7 @@ def _check_between(w: Witness) -> list[Check]:
 
 def _check_multisection(w: Witness) -> list[Check]:
     x0, x1, x2 = _need(w, "X0"), _need(w, "X1"), _need(w, "X2")
-    g = _need(w, "element")
+    g = _need(w, "element", TableElement)
     checks = [
         (order(g, 4) == 3, "element has order 3"),
         (closed_support(g) == x0.union(x1).union(x2), "support is the union of the cycle sets"),
@@ -70,12 +94,19 @@ def _check_multisection(w: Witness) -> list[Check]:
         (image_clopen(g, x1) == x2, "maps X1 onto X2"),
         (image_clopen(g, x2) == x0, "maps X2 onto X0"),
     ]
+    # Without disjointness the claim holds trivially (X0 = X1 = X2 = the
+    # support of any 3-cycle).  A witness built by ``multisection`` always
+    # meets it, so it is listed only when violated.  Nonemptiness needs no
+    # check: the maps above force all three sets empty together, and then the
+    # support is empty and the order check fails.
+    if not (x0.isdisjoint(x1) and x0.isdisjoint(x2) and x1.isdisjoint(x2)):
+        checks.append((False, "cycle sets pairwise disjoint"))
     return checks
 
 
 def _check_vigor(w: Witness) -> list[Check]:
     x, y1, y2 = _need(w, "X"), _need(w, "Y1"), _need(w, "Y2")
-    g = _need(w, "element")
+    g = _need(w, "element", TableElement)
     checks = [
         (closed_support(g).issubset(x), "support inside X"),
         (image_clopen(g, y1).issubset(y2), "image of Y1 inside Y2"),
@@ -86,13 +117,13 @@ def _check_vigor(w: Witness) -> list[Check]:
 
 
 def _check_conjugates(w: Witness) -> list[Check]:
-    g = _need(w, "element")
+    g = _need(w, "element", TableElement)
     moved = _need(w, "moved")
-    count = int(w.params.get("count", "0"))
+    count = _int_param(w, "count")
     if count < 1:
         raise ParseError("conjugates witness needs a positive 'count' parameter")
-    conjugates = [_need(w, "conjugate%d" % i) for i in range(1, count + 1)]
-    conjugators = [_need(w, "conjugator%d" % i) for i in range(1, count + 1)]
+    conjugates = [_need(w, "conjugate%d" % i, TableElement) for i in range(1, count + 1)]
+    conjugators = [_need(w, "conjugator%d" % i, TableElement) for i in range(1, count + 1)]
     targets = [_need(w, "target%d" % i) for i in range(1, count + 1)]
     checks = []
     for i in range(count):
@@ -125,20 +156,16 @@ def _check_conjugates(w: Witness) -> list[Check]:
 
 
 def _fixes_neighborhood(point, g: TableElement) -> bool:
-    support = closed_support(g)
-    if point_in(point, support):
-        return False
-    avoiding_neighborhood(point, support)
-    return True
+    return not point_in(point, closed_support(g))
 
 
 def _check_compressibility(w: Witness) -> list[Check]:
-    condition = int(w.params.get("condition", "0"))
+    condition = _int_param(w, "condition")
     point_text = w.params.get("point")
     if point_text is None:
         raise ParseError("compressibility witness needs a 'point' parameter")
     if condition == 1:
-        g = _need(w, "element")
+        g = _need(w, "element", TableElement)
         u = _need(w, "output")
         point = parse_point(point_text, u.space)
         return [
@@ -147,7 +174,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
         ]
     if condition == 2:
         u1, u2 = _need(w, "U1"), _need(w, "U2")
-        g = _need(w, "element")
+        g = _need(w, "element", TableElement)
         point = parse_point(point_text, u1.space)
         return [
             (image_clopen(g, u1).issubset(u2), "image of U1 inside U2"),
@@ -156,7 +183,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
         ]
     if condition == 3:
         u1, u2, u3 = _need(w, "U1"), _need(w, "U2"), _need(w, "U3")
-        g = _need(w, "element")
+        g = _need(w, "element", TableElement)
         point = parse_point(point_text, u1.space)
         return [
             (image_clopen(g, u1).isdisjoint(u3), "image of U1 misses U3"),
@@ -169,7 +196,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
 
 def _check_embed(w: Witness) -> list[Check]:
     x, y = _need(w, "X"), _need(w, "Y")
-    s0, s1 = _need(w, "s0"), _need(w, "s1")
+    s0, s1 = _need(w, "s0", PrefixBijection), _need(w, "s1", PrefixBijection)
     checks = [
         (x.issubset(y), "region contains the prescribed support"),
         (y.h0_class() == 0, "region has class zero"),
@@ -179,8 +206,8 @@ def _check_embed(w: Witness) -> list[Check]:
     ]
     if "velement" in w.blocks:
         emb = VEmbedding(y.space, y, s0, s1)
-        img = _need(w, "image")
-        got = evaluate_embedding(emb, w.blocks["velement"])
+        img = _need(w, "image", TableElement)
+        got = evaluate_embedding(emb, _need(w, "velement", TableElement, binary_space()))
         checks.append((equals(img, got), "image matches the evaluated element"))
         checks.append((closed_support(img).issubset(y), "image supported in the region"))
     return checks

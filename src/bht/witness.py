@@ -15,6 +15,7 @@ from .element import (
     PrefixBijection,
     TableElement,
     canonicalize,
+    closed_support,
     compose,
     compose_partial,
     identity,
@@ -300,8 +301,6 @@ def avoiding_neighborhood(p: RationalPoint, *avoid: Clopen) -> Clopen:
 
 def fixed_neighborhood(p: RationalPoint, g: TableElement) -> Clopen:
     """A brick neighborhood of p on which g is pointwise the identity."""
-    from .element import closed_support
-
     return avoiding_neighborhood(p, closed_support(g))
 
 
@@ -317,8 +316,6 @@ def compressibility_witness(x0: RationalPoint, condition: int, *args):
     whose support misses u2 and with g(u1) disjoint from u3, routed through a
     ring between two brick neighborhoods of x0.
     """
-    from .element import closed_support
-
     if condition == 1:
         (g,) = args
         support = closed_support(g)

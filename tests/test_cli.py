@@ -4,8 +4,18 @@ import pytest
 
 from bht.cli import main
 from bht.element import TableElement
-from bht.textio import format_clopen, format_table, format_vpair, parse_clopen, parse_table, parse_witness
+from bht.textio import (
+    Witness,
+    format_clopen,
+    format_table,
+    format_vpair,
+    format_witness,
+    parse_clopen,
+    parse_table,
+    parse_witness,
+)
 from bht.vembed import binary_space
+from bht.witness import compress, multisection
 from util import B, V2, V3, clp
 
 
@@ -169,6 +179,35 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and "class mismatch" in err
     code, _, err = run(capsys, "abelianization", "--space", "2,3,5,1")
     assert code == 1 and "not" in err
+
+
+@pytest.mark.parametrize("cycle_sets, failed", [
+    ("full", "cycle sets pairwise disjoint"),
+    ("empty", "support is the union of the cycle sets"),
+], ids=["full", "empty"])
+def test_verify_rejects_forged_multisection(capsys, tmp_path, cycle_sets, failed):
+    # a genuine 3-cycle of the whole space, claimed with X0 = X1 = X2
+    g = multisection(clp(V3, "0"), clp(V3, "1"), clp(V3, "2")).element
+    x = V3.full() if cycle_sets == "full" else V3.empty()
+    forged = Witness("multisection", blocks={"X0": x, "X1": x, "X2": x, "element": g})
+    code, out, _ = run(capsys, "verify", write(tmp_path, "m.txt", format_witness(forged)))
+    assert code == 1
+    assert "FAIL " + failed in out.splitlines()
+
+
+@pytest.mark.parametrize("case", ["clopen-output", "mixed-spaces", "bad-condition"])
+def test_verify_malformed_witness_is_parse_error(capsys, tmp_path, case):
+    a, b = clp(V2, "0"), clp(V2, "1")
+    if case == "clopen-output":
+        w = Witness("compress", blocks={"A": a, "B": b, "output": b})
+    elif case == "mixed-spaces":
+        w = Witness("compress", blocks={"A": a, "B": clp(V3, "1"), "output": compress(a, b)})
+    else:
+        w = Witness("compressibility", params={"condition": "z", "point": "root:0 e(0)"},
+                    blocks={"U1": a, "U2": b})
+    code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", format_witness(w)))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:")
 
 
 def test_byte_stable_output(capsys, tmp_path):

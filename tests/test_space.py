@@ -3,18 +3,18 @@ import random
 import pytest
 
 from bht.errors import DomainError, SpaceMismatchError
+from bht.sampling import random_clopen, random_partition, random_point
 from bht.space import (
     Brick,
     Clopen,
     RationalPoint,
     SpaceSpec,
     canonical_bricks,
-    clopen_algebra,
     h0_class,
     point_in,
     subdivide,
 )
-from util import B, V2, V3, V23, V2x2, W, clp, pt, random_clopen, random_partition, random_point
+from util import B, V2, V3, V23, V2x2, W, clp, pt
 
 
 def test_space_validation():
@@ -84,8 +84,6 @@ def test_complement_and_subset():
     assert x.intersect(c).is_empty()
     assert clp(V3, "12").issubset(x)
     assert not x.issubset(clp(V3, "12"))
-    assert clopen_algebra(x, None, "complement") == c
-    assert clopen_algebra(clp(V3, "12"), x, "subset-test") is True
 
 
 def test_space_mismatch_rejected():

@@ -1,8 +1,6 @@
-"""Shared helpers for the test suite: terse constructors and point sampling."""
+"""Shared helpers for the test suite: terse constructors."""
 
-import random
-
-from bht.space import Brick, Clopen, RationalPoint, SpaceSpec, subdivide
+from bht.space import Brick, Clopen, RationalPoint, SpaceSpec
 
 V2 = SpaceSpec(1, (2,), 1)
 V3 = SpaceSpec(1, (3,), 1)
@@ -36,35 +34,3 @@ def clp(space: SpaceSpec, *brickspecs) -> Clopen:
 def pt(space: SpaceSpec, *coords, root: int = 0) -> RationalPoint:
     """Point from (preperiod, period) digit-string pairs, one per dimension."""
     return RationalPoint(space, root, [(W(pre), W(per)) for pre, per in coords])
-
-
-def random_partition(space: SpaceSpec, rng: random.Random, splits: int = 3):
-    parts = [space.root_brick(i) for i in range(space.r)]
-    for _ in range(splits):
-        i = rng.randrange(len(parts))
-        dim = rng.randrange(space.n)
-        parts[i:i + 1] = subdivide(space, parts[i], dim)
-    return parts
-
-
-def random_clopen(space, rng, splits=3, nonempty=False, proper=False) -> Clopen:
-    for _ in range(1000):
-        parts = random_partition(space, rng, splits)
-        chosen = [b for b in parts if rng.random() < 0.5]
-        c = Clopen(space, chosen)
-        if nonempty and c.is_empty():
-            continue
-        if proper and c.is_full():
-            continue
-        return c
-    raise AssertionError("could not sample a clopen with the requested shape")
-
-
-def random_point(space, rng, max_pre=3, max_per=2) -> RationalPoint:
-    coords = []
-    for j in range(space.n):
-        k = space.kbar[j]
-        pre = tuple(rng.randrange(k) for _ in range(rng.randrange(max_pre + 1)))
-        per = tuple(rng.randrange(k) for _ in range(1, rng.randint(1, max_per) + 1))
-        coords.append((pre, per))
-    return RationalPoint(space, rng.randrange(space.r), coords)
