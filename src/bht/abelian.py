@@ -144,12 +144,42 @@ def homology(space: SpaceSpec, i: int) -> AbelianGroup:
     return AbelianGroup.power(space.g, math.comb(space.n - 1, i))
 
 
-def abelianization(space: SpaceSpec) -> AbelianGroup:
-    """Abelianization of the full group of the space.
+@dataclass(frozen=True)
+class CharacterFamily:
+    """``count`` proper characters, each of the given order."""
+
+    count: int
+    order: int
+
+
+def _families(space: SpaceSpec) -> tuple[CharacterFamily, ...]:
+    """Cyclic factors of the abelianization, grouped as character families.
 
     For equal alphabet sizes k this is the seven-case table driven by the
     abelianization exact sequence; mixed alphabet sizes are covered only in
     the acyclic case g = 1, where the group is perfect.
+    """
+    if len(set(space.kbar)) > 1:
+        if space.g == 1:
+            return ()
+        raise NotDeterminedError(
+            "abelianization for mixed alphabet sizes with g = %d > 1 is not "
+            "determined by the supported closed forms" % space.g
+        )
+    k, n = space.kbar[0], space.n
+    if k % 2 == 0:
+        return (CharacterFamily(n - 1, k - 1),)
+    if n == 1:
+        return (CharacterFamily(1, 2),)
+    if k % 4 == 1:
+        return (CharacterFamily(1, 2), CharacterFamily(n - 1, k - 1))
+    if n == 2:
+        return (CharacterFamily(1, 2 * k - 2),)
+    return (CharacterFamily(n - 1, k - 1),)
+
+
+def abelianization(space: SpaceSpec) -> AbelianGroup:
+    """Abelianization of the full group of the space (see :func:`_families`).
 
     >>> from bht.space import SpaceSpec
     >>> print(abelianization(SpaceSpec(1, (3,), 1)))
@@ -161,31 +191,7 @@ def abelianization(space: SpaceSpec) -> AbelianGroup:
     >>> print(abelianization(SpaceSpec(2, (2, 2), 1)))
     0
     """
-    if len(set(space.kbar)) > 1:
-        if space.g == 1:
-            return AbelianGroup.trivial()
-        raise NotDeterminedError(
-            "abelianization for mixed alphabet sizes with g = %d > 1 is not "
-            "determined by the supported closed forms" % space.g
-        )
-    k, n = space.kbar[0], space.n
-    if k % 2 == 0:
-        return AbelianGroup.power(k - 1, n - 1)
-    if n == 1:
-        return AbelianGroup.cyclic(2)
-    if k % 4 == 1:
-        return AbelianGroup.cyclic(2).direct_sum(AbelianGroup.power(k - 1, n - 1))
-    if n == 2:
-        return AbelianGroup.cyclic(2 * k - 2)
-    return AbelianGroup.power(k - 1, n - 1)
-
-
-@dataclass(frozen=True)
-class CharacterFamily:
-    """``count`` proper characters, each of the given order."""
-
-    count: int
-    order: int
+    return AbelianGroup([f.order for f in _families(space) for _ in range(f.count)])
 
 
 @dataclass(frozen=True)
@@ -225,20 +231,7 @@ def proper_characters(space: SpaceSpec) -> CharacterTable:
     (CharacterFamily(count=1, order=12),)
     """
     dual = abelianization(space)
-    if dual.is_trivial():
-        return CharacterTable((), dual)
-    k, n = space.kbar[0], space.n
-    if k % 2 == 0:
-        families = (CharacterFamily(n - 1, k - 1),)
-    elif n == 1:
-        families = (CharacterFamily(1, 2),)
-    elif k % 4 == 1:
-        families = (CharacterFamily(1, 2), CharacterFamily(n - 1, k - 1))
-    elif n == 2:
-        families = (CharacterFamily(1, 2 * k - 2),)
-    else:
-        families = (CharacterFamily(n - 1, k - 1),)
-    return CharacterTable(families, dual)
+    return CharacterTable(() if dual.is_trivial() else _families(space), dual)
 
 
 def is_perfect(space: SpaceSpec) -> bool:

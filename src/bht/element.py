@@ -18,9 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .space import Brick, Clopen, RationalPoint, SpaceSpec, merge_families
-
-Cell = tuple[Brick, Brick]
+from .space import Brick, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families
 
 
 def _check_disjoint(side: str, bricks: list[Brick]):
@@ -122,21 +120,10 @@ def identity(space: SpaceSpec) -> TableElement:
     return TableElement(space, [(x, x) for x in b])
 
 
-def _compose_cells(f: PrefixBijection, g: PrefixBijection) -> list[Cell]:
-    cells = []
-    for gd, gr in g.cells:
-        for fd, fr in f.cells:
-            meet = gr.intersect(fd)
-            if meet is None:
-                continue
-            cells.append((gd.extend(meet.suffix_in(gr)), fr.extend(meet.suffix_in(fd))))
-    return cells
-
-
 def compose_partial(f: PrefixBijection, g: PrefixBijection) -> PrefixBijection:
     """Partial composite f after g, defined where the images line up."""
     f.space.check_same(g.space)
-    return PrefixBijection(f.space, _compose_cells(f, g))
+    return PrefixBijection(f.space, compose_cells(f.cells, g.cells))
 
 
 def invert_partial(b: PrefixBijection) -> PrefixBijection:
@@ -146,7 +133,7 @@ def invert_partial(b: PrefixBijection) -> PrefixBijection:
 def compose(f: TableElement, g: TableElement) -> TableElement:
     """Group law: apply g first, then f; the result is canonicalized."""
     f.space.check_same(g.space)
-    return canonicalize(TableElement._wrap(f.space, _compose_cells(f, g)))
+    return canonicalize(TableElement._wrap(f.space, compose_cells(f.cells, g.cells)))
 
 
 def invert(g: TableElement) -> TableElement:
@@ -159,13 +146,23 @@ def canonicalize(g: TableElement) -> TableElement:
 
 
 def is_identity(g: TableElement) -> bool:
+    """Whether every cell of g has equal source and target brick.
+
+    The test is exact on any cell partition, canonical or not.  A cell with
+    distinct source and target bricks moves a dense subset of its source
+    cylinder: its fixed part is a product of at most one ultimately periodic
+    point per dimension, which has empty interior.
+    """
     return all(d == r for d, r in g.cells)
 
 
 def equals(f: TableElement, g: TableElement) -> bool:
-    """Word problem: whether f and g agree as homeomorphisms."""
+    """Word problem: whether f and g agree as homeomorphisms.
+
+    Tests the raw cells of f after g^-1 as :func:`is_identity` does.
+    """
     f.space.check_same(g.space)
-    return is_identity(compose(f, invert(g)))
+    return all(d == r for d, r in compose_cells(f.cells, [(r, d) for d, r in g.cells]))
 
 
 def apply_point(g: PrefixBijection, p: RationalPoint) -> RationalPoint:
@@ -184,37 +181,32 @@ def apply_point(g: PrefixBijection, p: RationalPoint) -> RationalPoint:
 def image_clopen(g: PrefixBijection, x: Clopen) -> Clopen:
     """Image of the part of x inside the source of g."""
     g.space.check_same(x.space)
-    out = []
-    for b in x.bricks:
-        for d, r in g.cells:
-            meet = b.intersect(d)
-            if meet is not None:
-                out.append(r.extend(meet.suffix_in(d)))
-    return Clopen(x.space, out)
+    cells = compose_cells(g.cells, [(b, b) for b in x.bricks])
+    return Clopen(x.space, [r for _, r in cells])
 
 
 def closed_support(g: TableElement) -> Clopen:
     """Closure of the moved-point set, as a clopen.
 
-    A cell with distinct source and target bricks moves a dense subset of its
-    source cylinder (its fixed part is a product of at most one ultimately
-    periodic point per dimension, which has empty interior), so the closure
-    is exactly the union of the source cylinders of the non-identity cells.
+    A non-identity cell moves a dense part of its source (see
+    :func:`is_identity`), so on any cell partition the closure is exactly the
+    union of the source cylinders of the non-identity cells.
     """
-    gc = canonicalize(g)
-    return Clopen(g.space, [d for d, r in gc.cells if d != r])
+    return Clopen(g.space, [d for d, r in g.cells if d != r])
 
 
 def order(g: TableElement, bound: int):
-    """Least m <= bound with g^m the identity, or None when the bound is hit."""
+    """Least m <= bound with g^m the identity, or None when the bound is hit.
+
+    Each power is tested on its raw cells (see :func:`is_identity`).
+    """
     if bound < 1:
         raise DomainError("order bound must be >= 1")
-    power = canonicalize(g)
-    base = power
+    power = g
     for m in range(1, bound + 1):
         if is_identity(power):
             return m
-        power = compose(power, base)
+        power = compose(power, g)
     return None
 
 

@@ -7,9 +7,9 @@ dimension; bricks are the basic compact open sets.  A :class:`Clopen` is a
 finite disjoint union of bricks kept in a canonical form, so two values
 compare equal exactly when they denote the same point set.
 
-Canonical form: the brick list is made disjoint, rebuilt as a dimension-major
-decision tree (split a dimension only where the set genuinely depends on it,
-lowest dimension first), and then complete sibling families are merged by
+Canonical form: the brick list is rebuilt as a dimension-major decision tree
+(split a dimension only where the set genuinely depends on it, lowest
+dimension first), and then complete sibling families are merged by
 :func:`merge_families`, the kernel that also normalises prefix-exchange
 tables in :mod:`bht.element` (a brick is passed as the cell ``(b, b)``).  The
 decision-tree stage depends only on the point set, never on the
@@ -150,6 +150,9 @@ class Brick(NamedTuple):
         return Brick(self.root, tuple(words))
 
 
+Cell = tuple[Brick, Brick]
+
+
 def _is_prefix(w: Word, v: Word) -> bool:
     return len(w) <= len(v) and v[: len(w)] == w
 
@@ -183,30 +186,13 @@ def brick_subtract(space: SpaceSpec, b: Brick, c: Brick) -> list[Brick]:
     raise AssertionError("unreachable: overlapping bricks with equal depths")
 
 
-def _subtract_all(space: SpaceSpec, b: Brick, others: Iterable[Brick]) -> list[Brick]:
-    """Bricks covering b minus the union of ``others``."""
-    pieces = [b]
-    for c in others:
-        pieces = [q for p in pieces for q in brick_subtract(space, p, c)]
-        if not pieces:
-            break
-    return pieces
-
-
-def _disjointify(space: SpaceSpec, bricks: Iterable[Brick]) -> list[Brick]:
-    out: list[Brick] = []
-    for b in bricks:
-        out.extend(_subtract_all(space, b, out))
-    return out
-
-
 def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) -> list[tuple[Word, ...]]:
-    """Decision-tree form of a disjoint union of word boxes over dims >= dim.
+    """Decision-tree form of the union of word boxes over dims >= dim.
 
-    The dim-th coordinate tree is split exactly where the set fails to be
-    constant on a subtree, and the sections below are handled recursively.
-    The output depends only on the union of the boxes, not on the boxes
-    themselves.
+    The boxes may overlap or repeat.  The dim-th coordinate tree is split
+    exactly where the union fails to be constant on a subtree, and the
+    sections below are handled recursively.  The output depends only on the
+    union of the boxes, not on the boxes themselves.
     """
     if not boxes:
         return []
@@ -244,7 +230,7 @@ def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) ->
     return out
 
 
-def merge_families(space: SpaceSpec, cells: Iterable[tuple[Brick, Brick]]) -> list[tuple[Brick, Brick]]:
+def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
     """Merge complete sibling families of (source, target) cells, sorted.
 
     A family along dimension j is a set of k_j cells obtained from a parent
@@ -257,7 +243,7 @@ def merge_families(space: SpaceSpec, cells: Iterable[tuple[Brick, Brick]]) -> li
     """
     cells = set(cells)
 
-    def complete(dim: int) -> list[tuple[Brick, Brick]]:
+    def complete(dim: int) -> list[Cell]:
         # Keyed by plain tuples; only complete parents become bricks.
         buckets: dict[tuple, set[int]] = {}
         for d, r in cells:
@@ -274,7 +260,7 @@ def merge_families(space: SpaceSpec, cells: Iterable[tuple[Brick, Brick]]) -> li
             for (dr, dp, rr, rp), letters in buckets.items() if len(letters) == k
         ]
 
-    def merge(parent: tuple[Brick, Brick], dim: int):
+    def merge(parent: Cell, dim: int):
         pd, pr = parent
         for a in range(space.kbar[dim]):
             cells.discard((pd.child(dim, a), pr.child(dim, a)))
@@ -298,11 +284,8 @@ def merge_families(space: SpaceSpec, cells: Iterable[tuple[Brick, Brick]]) -> li
 
 def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
     """Canonical representative of the union of ``bricks`` (overlaps allowed)."""
-    disjoint = _disjointify(space, list(bricks))
-    if not disjoint:
-        return ()
     by_root: dict[int, list[tuple[Word, ...]]] = {}
-    for b in disjoint:
+    for b in bricks:
         by_root.setdefault(b.root, []).append(b.words)
     sectioned = []
     for root, boxes in by_root.items():
@@ -310,6 +293,23 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
             b = Brick(root, words)
             sectioned.append((b, b))
     return tuple(b for b, _ in merge_families(space, sectioned))
+
+
+def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> list[Cell]:
+    """Cells of the partial map f after g, one per meeting g-target and f-source.
+
+    Each meet of a target brick of g with a source brick of f is pulled back
+    through g and pushed forward through f.  A clopen enters as the partial
+    identity with cells ``(b, b)``.
+    """
+    cells = []
+    for gd, gr in g_cells:
+        for fd, fr in f_cells:
+            meet = gr.intersect(fd)
+            if meet is None:
+                continue
+            cells.append((gd.extend(meet.suffix_in(gr)), fr.extend(meet.suffix_in(fd))))
+    return cells
 
 
 class Clopen:
@@ -360,19 +360,15 @@ class Clopen:
 
     def intersect(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
-        out = []
-        for b in self.bricks:
-            for c in other.bricks:
-                meet = b.intersect(c)
-                if meet is not None:
-                    out.append(meet)
-        return Clopen(self.space, out)
+        meets = compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks])
+        return Clopen(self.space, [d for d, _ in meets])
 
     def difference(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
-        return Clopen(self.space, [
-            p for b in self.bricks for p in _subtract_all(self.space, b, other.bricks)
-        ])
+        pieces = list(self.bricks)
+        for c in other.bricks:
+            pieces = [q for p in pieces for q in brick_subtract(self.space, p, c)]
+        return Clopen(self.space, pieces)
 
     def complement(self) -> "Clopen":
         return self.space.full().difference(self)

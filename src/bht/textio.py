@@ -187,7 +187,7 @@ def parse_vpair(text: str) -> TableElement:
     try:
         return TableElement(space, cells)
     except Exception as err:
-        raise ParseError(str(err)) from None
+        raise ParseError(str(err), lines[0][0]) from None
 
 
 def format_point(p: RationalPoint) -> str:
@@ -291,7 +291,8 @@ def parse_witness(text: str) -> Witness:
                 idx += 1
             if idx >= len(lines):
                 raise ParseError("unterminated block %r" % name, start)
-            w.blocks[name] = _parse_block("\n".join(body), start)
+            # padded so that errors in the block report the file's line numbers
+            w.blocks[name] = _parse_block("\n" * start + "\n".join(body), start)
             idx += 1
         else:
             key, _, value = stripped.partition(" ")

@@ -185,12 +185,17 @@ def _check_compressibility(w: Witness) -> list[Check]:
         u1, u2, u3 = _need(w, "U1"), _need(w, "U2"), _need(w, "U3")
         g = _need(w, "element", TableElement)
         point = parse_point(point_text, u1.space)
-        return [
+        checks = [
             (image_clopen(g, u1).isdisjoint(u3), "image of U1 misses U3"),
             (closed_support(g).isdisjoint(u2), "support misses U2"),
             (u1.isdisjoint(u2), "U1 and U2 disjoint"),
             (_fixes_neighborhood(point, g), "element fixes a neighborhood of the point"),
         ]
+        # Listed only when violated, as in _check_multisection: a witness
+        # built by ``compressibility_witness`` always meets it.
+        if any(point_in(point, u) for u in (u1, u2, u3)):
+            checks.append((False, "U1, U2, U3 avoid the point"))
+        return checks
     raise ParseError("compressibility condition must be 1, 2 or 3")
 
 

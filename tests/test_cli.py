@@ -195,6 +195,19 @@ def test_verify_rejects_forged_multisection(capsys, tmp_path, cycle_sets, failed
     assert "FAIL " + failed in out.splitlines()
 
 
+def test_verify_rejects_compressibility_sets_at_the_point(capsys, tmp_path):
+    u1, u2, u3 = (write(tmp_path, "u%d.clp" % i, format_clopen(clp(V2, w)))
+                  for i, w in enumerate(("1", "01", "11"), start=1))
+    code, out, _ = run(capsys, "compressibility", "--point", "root:0 e(0)", "--cond", "3", u1, u2, u3)
+    assert code == 0
+    # U3 = 000 contains the point 0^inf, which the constructor refuses
+    forged = parse_witness(out)
+    forged.blocks["U3"] = clp(V2, "000")
+    code, out, _ = run(capsys, "verify", write(tmp_path, "c3.txt", format_witness(forged)))
+    assert code == 1
+    assert "FAIL U1, U2, U3 avoid the point" in out.splitlines()
+
+
 @pytest.mark.parametrize("case", ["clopen-output", "mixed-spaces", "bad-condition"])
 def test_verify_malformed_witness_is_parse_error(capsys, tmp_path, case):
     a, b = clp(V2, "0"), clp(V2, "1")

@@ -23,7 +23,7 @@ from bht.element import (
 from bht.errors import DomainError, SpaceMismatchError
 from bht.sampling import random_element, random_permutation_element
 from bht.space import Brick, Clopen, SpaceSpec
-from util import B, V2, V3, V23, V2x2, W, clp, pt
+from util import B, V2, V3, V23, V2x2, W, clp, pt, refine
 
 SWAP = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
 # source 0 grows, source 1 shrinks; infinite order
@@ -174,6 +174,21 @@ def test_equals_matches_oracle_on_generator_words():
         for x in w2:
             g = compose(g, x)
         assert equals(f, g) == oracle_agree(f, g)
+
+
+def test_identity_tests_on_refined_cells():
+    # equals, closed_support and order read raw cells, canonical or not
+    rng = random.Random(67)
+    for _ in range(40):
+        space = rng.choice([V2, V3, V2x2, V23])
+        g = random_element(space, rng, factors=2, splits=2)
+        fine = refine(g, rng)
+        assert len(fine.cells) > len(g.cells)
+        assert equals(fine, g) and equals(g, fine)
+        assert closed_support(fine) == closed_support(g)
+        assert order(fine, 6) == order(g, 6)
+        h = rng.choice([random_element(space, rng, factors=2, splits=2), refine(g, rng)])
+        assert equals(fine, h) == oracle_agree(fine, h)
 
 
 def test_apply_point_examples():

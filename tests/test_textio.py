@@ -22,6 +22,7 @@ from bht.textio import (
     parse_witness,
 )
 from bht.vembed import binary_space
+from bht.witness import compress
 from util import B, V2, V23, V3, clp, pt
 
 
@@ -84,6 +85,8 @@ def test_parse_errors_report_lines():
         parse_clopen("space n=1 k=2 r=1\nroot:0 0,1\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_table("table n=1 k=2 r=1\nroot:0 0 root:0 1\n")
+    with pytest.raises(ParseError, match="^line 1: target bricks overlap"):
+        parse_vpair("vpair\n0 -> 0\n1 -> e\n")
     with pytest.raises(ParseError):
         parse_point("0(1)", V2)
     with pytest.raises(ParseError):
@@ -106,5 +109,15 @@ def test_witness_round_trip():
 def test_witness_parse_errors():
     with pytest.raises(ParseError):
         parse_witness("not a witness\n")
+    lines = format_witness(Witness("compress", blocks={
+        "A": clp(V2, "0"), "B": V2.full(), "output": compress(clp(V2, "0"), V2.full())})).splitlines()
+    assert lines[7:12] == ["root:0 e", "end", "begin output", "bisection n=1 k=2 r=1", "root:0 0 -> root:0 0"]
+    # errors inside a block report the line of the file, not of the block
+    for i, bad, line in ((7, "root:0 2", 8), (11, "root:0 ? -> root:0 0", 12), (11, "root:0 2 -> root:0 0", 11)):
+        text = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
+        with pytest.raises(ParseError, match="^line %d: " % line):
+            parse_witness(text)
+    with pytest.raises(ParseError, match="^line 3: target bricks overlap"):
+        parse_witness("witness embed\nbegin velement\nvpair\n0 -> 0\n1 -> e\nend\n")
     with pytest.raises(ParseError):
         parse_witness("witness vigor\nbegin X\nspace n=1 k=2 r=1\n")

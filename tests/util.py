@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: terse constructors."""
 
+from bht.element import TableElement
 from bht.space import Brick, Clopen, RationalPoint, SpaceSpec
 
 V2 = SpaceSpec(1, (2,), 1)
@@ -34,3 +35,12 @@ def clp(space: SpaceSpec, *brickspecs) -> Clopen:
 def pt(space: SpaceSpec, *coords, root: int = 0) -> RationalPoint:
     """Point from (preperiod, period) digit-string pairs, one per dimension."""
     return RationalPoint(space, root, [(W(pre), W(per)) for pre, per in coords])
+
+
+def refine(g: TableElement, rng) -> TableElement:
+    """The same element with every cell split into its children along a random dimension."""
+    cells = []
+    for d, r in g.cells:
+        j = rng.randrange(g.space.n)
+        cells += [(d.child(j, a), r.child(j, a)) for a in range(g.space.kbar[j])]
+    return TableElement(g.space, cells)
