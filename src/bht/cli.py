@@ -49,6 +49,11 @@ def _emit(text: str):
     sys.stdout.write(text)
 
 
+def _emit_witness(kind: str, blocks: dict, **params) -> int:
+    _emit(textio.format_witness(textio.Witness(kind, params=params, blocks=blocks)))
+    return 0
+
+
 def _porcelain(args, pairs):
     if args.porcelain:
         for key, value in pairs:
@@ -98,50 +103,31 @@ def _cmd_apply(args):
 
 def _cmd_compress(args):
     a, b = _clopen(args.a), _clopen(args.b)
-    out = witness.compress(a, b)
-    _emit(textio.format_witness(textio.Witness(
-        "compress", blocks={"A": a, "B": b, "output": out}
-    )))
-    return 0
+    return _emit_witness("compress", {"A": a, "B": b, "output": witness.compress(a, b)})
 
 
 def _cmd_double(args):
     x = _clopen(args.x)
     b1, b2 = witness.doubling_witness(x)
-    _emit(textio.format_witness(textio.Witness(
-        "double", blocks={"X": x, "output1": b1, "output2": b2}
-    )))
-    return 0
+    return _emit_witness("double", {"X": x, "output1": b1, "output2": b2})
 
 
 def _cmd_between(args):
     a, b = _clopen(args.a), _clopen(args.b)
-    out = witness.bisection_between(a, b)
-    _emit(textio.format_witness(textio.Witness(
-        "between", blocks={"A": a, "B": b, "output": out}
-    )))
-    return 0
+    return _emit_witness("between", {"A": a, "B": b, "output": witness.bisection_between(a, b)})
 
 
 def _cmd_multisection(args):
     x0, x1, x2 = _clopen(args.x0), _clopen(args.x1), _clopen(args.x2)
     m = witness.multisection(x0, x1, x2)
-    _emit(textio.format_witness(textio.Witness(
-        "multisection",
-        blocks={"X0": x0, "X1": x1, "X2": x2, "element": m.element},
-    )))
-    return 0
+    return _emit_witness("multisection", {"X0": x0, "X1": x1, "X2": x2, "element": m.element})
 
 
 def _cmd_vigor(args):
     x, y1, y2 = _clopen(args.x), _clopen(args.y1), _clopen(args.y2)
     g = witness.vigor_witness(x, y1, y2)
-    _emit(textio.format_witness(textio.Witness(
-        "vigor",
-        params={"case": witness.vigor_case(x, y1, y2)},
-        blocks={"X": x, "Y1": y1, "Y2": y2, "element": g},
-    )))
-    return 0
+    return _emit_witness("vigor", {"X": x, "Y1": y1, "Y2": y2, "element": g},
+                         case=witness.vigor_case(x, y1, y2))
 
 
 def _cmd_conjugates(args):
@@ -152,10 +138,7 @@ def _cmd_conjugates(args):
         blocks["target%d" % (i + 1)] = fam.targets[i]
         blocks["conjugator%d" % (i + 1)] = fam.conjugators[i]
         blocks["conjugate%d" % (i + 1)] = fam.conjugates[i]
-    _emit(textio.format_witness(textio.Witness(
-        "conjugates", params={"count": str(args.count)}, blocks=blocks
-    )))
-    return 0
+    return _emit_witness("conjugates", blocks, count=str(args.count))
 
 
 def _cmd_compressibility(args):
@@ -182,12 +165,7 @@ def _cmd_compressibility(args):
         blocks = {"U1": u1, "U2": u2, "U3": u3, "element": g}
     else:
         raise ParseError("condition must be 1, 2 or 3")
-    _emit(textio.format_witness(textio.Witness(
-        "compressibility",
-        params={"condition": str(args.cond), "point": args.point},
-        blocks=blocks,
-    )))
-    return 0
+    return _emit_witness("compressibility", blocks, condition=str(args.cond), point=args.point)
 
 
 def _cmd_embed_v(args):
@@ -202,8 +180,7 @@ def _cmd_embed_v(args):
         v = textio.parse_vpair(text) if head == "vpair" else textio.parse_table(text)
         blocks["velement"] = v
         blocks["image"] = vembed.evaluate_embedding(emb, v)
-    _emit(textio.format_witness(textio.Witness("embed", blocks=blocks)))
-    return 0
+    return _emit_witness("embed", blocks)
 
 
 def _cmd_homology(args):

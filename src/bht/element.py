@@ -7,7 +7,10 @@ clopen sets.  A :class:`TableElement` is the full case (source = target =
 whole space): an element of the prefix-exchange group of the space.
 
 Composition refines the middle partitions against each other and rereads the
-resulting cells, so the group law is exact.  For one-dimensional spaces the
+resulting cells, so the group law is exact.  Both that meet and the
+disjointness check on construction look bricks up in a
+:class:`bht.space.BrickIndex`, a per-dimension prefix index, and so visit
+only pairs of bricks that really meet.  For one-dimensional spaces the
 canonical form below is the classical reduced table and is unique per
 element; in higher dimensions it is a deterministic normal form and equality
 is decided semantically (``equals``), never by comparing cell lists.
@@ -18,14 +21,21 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .space import Brick, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families
+from .space import (
+    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families,
+)
 
 
 def _check_disjoint(side: str, bricks: list[Brick]):
+    """Raise on the first brick that meets another, naming its first partner."""
+    if len(bricks) < 2:
+        return
+    index = BrickIndex(bricks)
     for i, b in enumerate(bricks):
-        for b2 in bricks[i + 1:]:
-            if not b.is_disjoint(b2):
-                raise DomainError("%s bricks overlap: %r, %r" % (side, b, b2))
+        hits = index.meeting(b)
+        if len(hits) > 1:
+            partner = min(j for j in hits if j != i)
+            raise DomainError("%s bricks overlap: %r, %r" % (side, b, bricks[partner]))
 
 
 class PrefixBijection:

@@ -21,10 +21,11 @@ pure function, so they can be shared freely between workers.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SpaceMismatchError
 
@@ -137,12 +138,6 @@ class Brick(NamedTuple):
 
     def extend(self, suffixes: tuple[Word, ...]) -> "Brick":
         return Brick(self.root, tuple(w + s for w, s in zip(self.words, suffixes)))
-
-    def suffix_in(self, outer: "Brick") -> tuple[Word, ...]:
-        """Per-dimension suffixes of self relative to a containing brick."""
-        if not outer.contains(self):
-            raise DomainError("brick is not contained in the reference brick")
-        return tuple(w[len(v):] for v, w in zip(outer.words, self.words))
 
     def child(self, dim: int, letter: int) -> "Brick":
         words = list(self.words)
@@ -295,21 +290,81 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
     return tuple(b for b, _ in merge_families(space, sectioned))
 
 
-def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> list[Cell]:
+_PAST = (math.inf,)
+
+
+def _index_level(node: dict, below: int) -> tuple[dict, list, list]:
+    """A trie node as (children, keys in order, children in key order)."""
+    if below:
+        node = {w: _index_level(child, below - 1) for w, child in node.items()}
+    keys = sorted(node)
+    return node, keys, [node[w] for w in keys]
+
+
+class BrickIndex:
+    """Prefix index over a list of bricks: which of them meet a query brick.
+
+    Two bricks meet exactly when they share a root and, in every dimension,
+    one word is a prefix of the other.  The bricks are grouped by root and
+    then by word, one dimension per level; each level keeps a dict from word
+    to the next level and its keys and values in key order.  A query finds
+    the prefixes of its word by dict lookups and the extensions by a bisect
+    range, so it visits only branches that really meet.
+    """
+
+    __slots__ = ("_roots",)
+
+    def __init__(self, bricks: Iterable[Brick]):
+        tries: dict[int, dict] = {}
+        depth = 0
+        for i, b in enumerate(bricks):
+            depth = len(b.words)
+            node = tries.setdefault(b.root, {})
+            for w in b.words[:-1]:
+                node = node.setdefault(w, {})
+            node.setdefault(b.words[-1], []).append(i)
+        self._roots = {root: _index_level(node, depth - 1) for root, node in tries.items()}
+
+    def meeting(self, b: Brick) -> list[int]:
+        """Positions, in the indexed list, of the bricks that meet ``b``."""
+        level = self._roots.get(b.root)
+        found = [level] if level else []
+        for w in b.words:
+            hits: list = []
+            for children, keys, values in found:
+                # the proper prefixes of w, looked up one by one
+                for i in range(len(w)):
+                    child = children.get(w[:i])
+                    if child is not None:
+                        hits.append(child)
+                # w and its extensions: every word that starts with w sorts
+                # in [w, w + (inf,))
+                lo = bisect_left(keys, w)
+                hits += values[lo:bisect_left(keys, w + _PAST, lo)]
+            found = hits
+        return [i for leaf in found for i in leaf]
+
+
+def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
     """Cells of the partial map f after g, one per meeting g-target and f-source.
 
-    Each meet of a target brick of g with a source brick of f is pulled back
-    through g and pushed forward through f.  A clopen enters as the partial
-    identity with cells ``(b, b)``.
+    The sources of f go into a :class:`BrickIndex` and each target of g is
+    looked up there, so only pairs that meet are visited.  Each meet is
+    pulled back through g and pushed forward through f: in every dimension
+    one of the two words extends the other, and the meet's word is the
+    longer one, so each side is extended by what the other word has beyond
+    it.  Cells are yielded lazily, in the order of g, so a caller may stop
+    at the first one it needs.  A clopen enters as the partial identity with
+    cells ``(b, b)``.
     """
-    cells = []
+    f_cells = list(f_cells)
+    index = BrickIndex(d for d, _ in f_cells)
     for gd, gr in g_cells:
-        for fd, fr in f_cells:
-            meet = gr.intersect(fd)
-            if meet is None:
-                continue
-            cells.append((gd.extend(meet.suffix_in(gr)), fr.extend(meet.suffix_in(fd))))
-    return cells
+        for i in index.meeting(gr):
+            fd, fr = f_cells[i]
+            pairs = list(zip(gr.words, fd.words))
+            yield (gd.extend(tuple(v[len(w):] for w, v in pairs)),
+                   fr.extend(tuple(w[len(v):] for w, v in pairs)))
 
 
 class Clopen:

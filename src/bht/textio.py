@@ -10,7 +10,7 @@ byte-stable for equal inputs.
 from dataclasses import dataclass, field
 
 from .element import PrefixBijection, TableElement
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -52,9 +52,11 @@ def _parse_space_fields(rest: list[str], line: int) -> SpaceSpec:
         n = int(fields["n"])
         kbar = tuple(int(x) for x in fields["k"].split(","))
         r = int(fields["r"])
+        return SpaceSpec(n, kbar, r)
+    except DomainError as err:
+        raise ParseError(str(err), line) from None
     except (KeyError, ValueError):
         raise ParseError("bad space header", line) from None
-    return SpaceSpec(n, kbar, r)
 
 
 def _split_lines(text: str) -> list[tuple[int, str]]:
@@ -221,11 +223,15 @@ def parse_point(text: str, space: SpaceSpec) -> RationalPoint:
 
 @dataclass
 class Witness:
-    """A claim plus the data needed to re-check it: named, typed blocks."""
+    """A claim plus the data needed to re-check it: named, typed blocks.
+
+    ``param_lines`` maps each parameter read from a file to its line.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
     blocks: dict = field(default_factory=dict)
+    param_lines: dict = field(default_factory=dict)
 
 
 def _format_block(obj) -> str:
@@ -297,5 +303,6 @@ def parse_witness(text: str) -> Witness:
         else:
             key, _, value = stripped.partition(" ")
             w.params[key] = value.strip()
+            w.param_lines[key] = idx + 1
             idx += 1
     return w

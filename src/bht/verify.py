@@ -16,7 +16,7 @@ from .element import (
     order,
 )
 from .errors import ParseError
-from .space import Clopen, SpaceSpec, point_in
+from .space import Clopen, RationalPoint, SpaceSpec, point_in
 from .textio import Witness, parse_point
 from .vembed import VEmbedding, binary_space, evaluate_embedding
 from .witness import vigor_case
@@ -49,7 +49,15 @@ def _int_param(w: Witness, key: str) -> int:
     try:
         return int(w.params.get(key, "0"))
     except ValueError:
-        raise ParseError("witness %r parameter %r must be an integer" % (w.kind, key)) from None
+        raise ParseError("witness %r parameter %r must be an integer" % (w.kind, key),
+                         w.param_lines.get(key)) from None
+
+
+def _point_param(w: Witness, space: SpaceSpec) -> RationalPoint:
+    try:
+        return parse_point(w.params["point"], space)
+    except ParseError as err:
+        raise ParseError(str(err), w.param_lines.get("point")) from None
 
 
 def _check_compress(w: Witness) -> list[Check]:
@@ -161,13 +169,12 @@ def _fixes_neighborhood(point, g: TableElement) -> bool:
 
 def _check_compressibility(w: Witness) -> list[Check]:
     condition = _int_param(w, "condition")
-    point_text = w.params.get("point")
-    if point_text is None:
+    if "point" not in w.params:
         raise ParseError("compressibility witness needs a 'point' parameter")
     if condition == 1:
         g = _need(w, "element", TableElement)
         u = _need(w, "output")
-        point = parse_point(point_text, u.space)
+        point = _point_param(w, u.space)
         return [
             (closed_support(g).issubset(u), "support inside the subbase member"),
             (not point_in(point, u), "subbase member avoids the point"),
@@ -175,7 +182,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
     if condition == 2:
         u1, u2 = _need(w, "U1"), _need(w, "U2")
         g = _need(w, "element", TableElement)
-        point = parse_point(point_text, u1.space)
+        point = _point_param(w, u1.space)
         return [
             (image_clopen(g, u1).issubset(u2), "image of U1 inside U2"),
             (not point_in(point, u1) and not point_in(point, u2), "U1, U2 avoid the point"),
@@ -184,7 +191,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
     if condition == 3:
         u1, u2, u3 = _need(w, "U1"), _need(w, "U2"), _need(w, "U3")
         g = _need(w, "element", TableElement)
-        point = parse_point(point_text, u1.space)
+        point = _point_param(w, u1.space)
         checks = [
             (image_clopen(g, u1).isdisjoint(u3), "image of U1 misses U3"),
             (closed_support(g).isdisjoint(u2), "support misses U2"),

@@ -173,6 +173,11 @@ def test_exit_codes(capsys, tmp_path):
     bad = write(tmp_path, "bad.clp", "garbage\n")
     code, _, err = run(capsys, "double", bad)
     assert code == 2 and "parse error" in err
+    # headers that parse but describe no space
+    for header in ("space n=1 k=1 r=1", "space n=0 k=2 r=1"):
+        bad = write(tmp_path, "bad.clp", "# a set\n%s\nroot:0 e\n" % header)
+        code, out, err = run(capsys, "double", bad)
+        assert (code, out) == (2, "") and err.startswith("parse error: line 2: ")
     a = write(tmp_path, "a.clp", format_clopen(clp(V3, "0")))
     b = write(tmp_path, "b.clp", format_clopen(clp(V3, "1", "2")))
     code, _, err = run(capsys, "between", a, b)
@@ -221,6 +226,52 @@ def test_verify_malformed_witness_is_parse_error(capsys, tmp_path, case):
     code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", format_witness(w)))
     assert code == 2 and out == ""
     assert err.startswith("parse error:")
+
+
+COMPRESSIBILITY = """witness compressibility
+condition 2
+point root:0 e(0)
+begin U1
+space n=1 k=2 r=1
+root:0 10
+end
+begin U2
+space n=1 k=2 r=1
+root:0 11
+end
+begin element
+table n=1 k=2 r=1
+root:0 0 -> root:0 0
+root:0 10 -> root:0 11
+root:0 11 -> root:0 10
+end
+"""
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("point root:0 e(0)", "point root:0 q(", "line 3: bad coordinate 'q('"),
+    ("point root:0 e(0)", "point root:5 e(0)", "line 3: root 5 out of range"),
+    ("condition 2", "condition two",
+     "line 2: witness 'compressibility' parameter 'condition' must be an integer"),
+    ("space n=1 k=2 r=1\nroot:0 11", "space n=1 k=1 r=1\nroot:0 11",
+     "line 9: every alphabet size must be >= 2"),
+    ("space n=1 k=2 r=1\nroot:0 10", "space n=0 k=2 r=1\nroot:0 10",
+     "line 5: dimension count must be >= 1"),
+], ids=["point", "point-root", "condition", "alphabet", "dimension"])
+def test_verify_parse_errors_report_lines(capsys, tmp_path, old, new, error):
+    code, out, _ = run(capsys, "verify", write(tmp_path, "w.txt", COMPRESSIBILITY))
+    assert code == 0 and "FAIL" not in out
+    code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", COMPRESSIBILITY.replace(old, new)))
+    assert (code, out, err) == (2, "", "parse error: %s\n" % error)
+
+
+def test_conjugates_count_error_reports_line(capsys, tmp_path, swap_file):
+    code, out, _ = run(capsys, "conjugates", swap_file, "--count", "2")
+    assert code == 0
+    bad = out.replace("count 2", "count 2.5")
+    code, out, err = run(capsys, "verify", write(tmp_path, "c.txt", bad))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2: witness 'conjugates' parameter 'count' must be an integer\n"
 
 
 def test_byte_stable_output(capsys, tmp_path):

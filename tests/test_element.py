@@ -22,8 +22,8 @@ from bht.element import (
 )
 from bht.errors import DomainError, SpaceMismatchError
 from bht.sampling import random_element, random_permutation_element
-from bht.space import Brick, Clopen, SpaceSpec
-from util import B, V2, V3, V23, V2x2, W, clp, pt, refine
+from bht.space import Brick, Clopen, SpaceSpec, compose_cells
+from util import B, V2, V3, V23, V2x2, W, clp, compose_cells_all_pairs, pt, refine
 
 SWAP = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
 # source 0 grows, source 1 shrinks; infinite order
@@ -112,6 +112,21 @@ def test_compose_derived_against_oracle():
         root2, (got,) = oracle_image(aa, 0, (word,))
         m = min(len(got), len(img2))
         assert root2 == root and got[:m] == img2[:m]
+
+
+def test_compose_meets_only_overlapping_bricks(monkeypatch):
+    # counts pairwise brick tests instead of timing: an all-pairs meet of
+    # these two 161-cell tables would make 161^2 of them
+    rng = random.Random(160)
+    f, g = (random_permutation_element(V2, rng, splits=160) for _ in range(2))
+    cells_out = len(list(compose_cells(f.cells, g.cells)))
+    calls = []
+    for name in ("intersect", "is_disjoint", "contains"):
+        test = getattr(Brick, name)
+        monkeypatch.setattr(Brick, name, lambda b, c, test=test: calls.append(1) or test(b, c))
+    fg = compose(f, g)
+    assert len(calls) <= 2 * cells_out
+    assert equals(fg, TableElement(V2, compose_cells_all_pairs(f.cells, g.cells)))
 
 
 def test_invert_examples():

@@ -91,6 +91,13 @@ def test_parse_errors_report_lines():
         parse_point("0(1)", V2)
     with pytest.raises(ParseError):
         parse_clopen("space n=1 k=99 r=x\n")
+    # headers that parse but describe no space
+    for header, message in (("space n=1 k=1 r=1", "every alphabet size must be >= 2"),
+                            ("space n=0 k=2 r=1", "dimension count must be >= 1")):
+        with pytest.raises(ParseError, match="^line 2: %s$" % message):
+            parse_clopen("# comment\n%s\nroot:0 e\n" % header)
+        with pytest.raises(ParseError, match="^line 1: %s$" % message):
+            parse_table(header.replace("space", "table") + "\nroot:0 e -> root:0 e\n")
 
 
 def test_witness_round_trip():
@@ -121,3 +128,7 @@ def test_witness_parse_errors():
         parse_witness("witness embed\nbegin velement\nvpair\n0 -> 0\n1 -> e\nend\n")
     with pytest.raises(ParseError):
         parse_witness("witness vigor\nbegin X\nspace n=1 k=2 r=1\n")
+    with pytest.raises(ParseError, match="^line 4: every alphabet size must be >= 2$"):
+        parse_witness("witness compress\n\nbegin A\nspace n=1 k=1 r=1\nroot:0 e\nend\n")
+    w = parse_witness("witness compressibility\ncondition 2\n# note\npoint root:0 e(0)\n")
+    assert w.param_lines == {"condition": 2, "point": 4}

@@ -44,3 +44,18 @@ def refine(g: TableElement, rng) -> TableElement:
         j = rng.randrange(g.space.n)
         cells += [(d.child(j, a), r.child(j, a)) for a in range(g.space.kbar[j])]
     return TableElement(g.space, cells)
+
+
+def compose_cells_all_pairs(f_cells, g_cells) -> list:
+    """Reference for ``bht.space.compose_cells``: meet every g-target with every f-source."""
+    def suffixes(meet, outer):
+        assert outer.contains(meet)
+        return tuple(m[len(w):] for m, w in zip(meet.words, outer.words))
+
+    cells = []
+    for gd, gr in g_cells:
+        for fd, fr in f_cells:
+            meet = gr.intersect(fd)
+            if meet is not None:
+                cells.append((gd.extend(suffixes(meet, gr)), fr.extend(suffixes(meet, fd))))
+    return cells
