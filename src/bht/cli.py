@@ -8,12 +8,13 @@ Witness-producing commands embed their inputs in the emitted file so that
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import abelian, element, textio, verify, vembed, witness
 from .errors import DomainError, ParseError
-from .space import SpaceSpec
+from .space import Clopen, SpaceSpec
 
 def _parse_space_arg(text: str) -> SpaceSpec:
     try:
@@ -37,12 +38,12 @@ def _read(path: str) -> str:
         raise ParseError("cannot read %s: %s" % (path, err)) from None
 
 
-def _clopen(path: str):
-    return textio.parse_clopen(_read(path))
+def _clopen(path: str) -> Clopen:
+    return textio.parse(_read(path), Clopen)
 
 
-def _table(path: str):
-    return textio.parse_table(_read(path))
+def _table(path: str) -> element.TableElement:
+    return textio.parse(_read(path), element.TableElement)
 
 
 def _emit(text: str):
@@ -175,10 +176,7 @@ def _cmd_embed_v(args):
     emb = vembed.build_v_embedding(space, x)
     blocks = {"X": x, "Y": emb.region, "s0": emb.s0, "s1": emb.s1}
     if args.velement is not None:
-        text = _read(args.velement)
-        head = text.split(None, 1)[0] if text.split() else ""
-        v = textio.parse_vpair(text) if head == "vpair" else textio.parse_table(text)
-        blocks["velement"] = v
+        v = blocks["velement"] = _table(args.velement)
         blocks["image"] = vembed.evaluate_embedding(emb, v)
     return _emit_witness("embed", blocks)
 
@@ -226,7 +224,9 @@ def _cmd_verify(args):
     return 0 if all(ok for ok, _ in checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bht",
         description="Exact computations in Brin-Higman-Thompson groups.",
@@ -331,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as err:

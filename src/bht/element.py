@@ -17,7 +17,7 @@ is decided semantically (``equals``), never by comparing cell lists.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .errors import DomainError
@@ -36,6 +36,20 @@ def _check_disjoint(side: str, bricks: list[Brick]):
         if len(hits) > 1:
             partner = min(j for j in hits if j != i)
             raise DomainError("%s bricks overlap: %r, %r" % (side, b, bricks[partner]))
+
+
+def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:
+    """Whether pairwise disjoint bricks cover the space, in exact integers.
+
+    With D_j the deepest word length in dimension j, the space is r * prod_j
+    k_j^D_j bricks of that depth, and a brick with words w_j holds
+    prod_j k_j^(D_j - |w_j|) of them.
+    """
+    deepest = [max((len(b.words[j]) for b in bricks), default=0) for j in range(space.n)]
+    # powers[j][i] = k_j^(D_j - i)
+    powers = [[k ** (d - i) for i in range(d + 1)] for k, d in zip(space.kbar, deepest)]
+    held = sum(prod(p[len(w)] for p, w in zip(powers, b.words)) for b in bricks)
+    return held == space.r * prod(p[0] for p in powers)
 
 
 class PrefixBijection:
@@ -96,25 +110,10 @@ class TableElement(PrefixBijection):
 
     def __init__(self, space: SpaceSpec, cells: Iterable[Cell]):
         super().__init__(space, cells)
-        total = Fraction(space.r)
-        if sum((d.measure(space) for d, _ in self.cells), Fraction(0)) != total:
+        if not _covers(space, [d for d, _ in self.cells]):
             raise DomainError("source bricks do not cover the space")
-        if sum((r.measure(space) for _, r in self.cells), Fraction(0)) != total:
+        if not _covers(space, [r for _, r in self.cells]):
             raise DomainError("target bricks do not cover the space")
-
-    def __mul__(self, other):
-        return compose(self, other)
-
-    def __invert__(self):
-        return invert(self)
-
-    def __pow__(self, m: int):
-        if m < 0:
-            return invert(self) ** (-m)
-        out = identity(self.space)
-        for _ in range(m):
-            out = compose(out, self)
-        return out
 
 
 @dataclass(frozen=True)

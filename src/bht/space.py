@@ -434,9 +434,6 @@ class Clopen:
     def isdisjoint(self, other: "Clopen") -> bool:
         return self.intersect(other).is_empty()
 
-    def contains_point(self, point: "RationalPoint") -> bool:
-        return point_in(point, self)
-
     def h0_class(self) -> int:
         return len(self.bricks) % self.space.g
 

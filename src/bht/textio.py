@@ -1,10 +1,21 @@
-"""Text formats: spaces, clopens, tables, bisections, V tables, points,
-and the witness container used by the command line.
+"""Text formats: clopens, tables, bisections, V tables, points, and the
+witness container used by the command line.
 
-All formats are line based, UTF-8, LF.  Words are spelled with the base-36
-digits 0-9a-z ('e' is the empty word), so alphabets up to 36 letters are
-supported.  Emission always happens in canonical order, making output files
-byte-stable for equal inputs.
+All formats are line based, UTF-8, LF.  Blank lines and lines starting with
+'#' may appear anywhere and are skipped; errors name the line of the file.
+Words are spelled with the base-36 digits 0-9a-z ('e' is the empty word), so
+alphabets up to 36 letters are supported.  An object is a header line and
+then one brick or cell per line:
+
+    space n=2 k=2,3 r=1        a clopen, one brick 'root:0 0,e' per line
+    table n=1 k=2 r=1          a full table, one 'root:0 0 -> root:0 1' per line
+    bisection n=1 k=2 r=1      a partial bisection, cells as in a table
+    vpair                      a V table over the binary space, '0 -> 1'
+
+:func:`parse` reads all four; a witness wraps named objects in
+``begin <name>`` ... ``end`` lines after its ``witness <kind>`` header and
+one ``<key> <value>`` line per parameter.  Emission always happens in
+canonical order, making output files byte-stable for equal inputs.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +23,11 @@ from dataclasses import dataclass, field
 from .element import PrefixBijection, TableElement
 from .errors import DomainError, ParseError
 from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word
+from .vembed import binary_space
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_HEADERS = {"space": Clopen, "table": TableElement, "bisection": PrefixBijection,
+            "vpair": TableElement}
 
 
 def format_word(w: Word) -> str:
@@ -95,19 +109,55 @@ def format_clopen(c: Clopen) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_clopen(text: str) -> Clopen:
+def parse(text: str, expect: type | None = None):
+    """The clopen, table, bisection or V table written in ``text``.
+
+    With ``expect`` (``Clopen``, ``TableElement`` or ``PrefixBijection``) an
+    object of another kind is a :class:`ParseError` on its header line; a
+    ``vpair`` is a table, and a table is accepted where a bisection is
+    expected.
+    """
     lines = _split_lines(text)
-    if not lines or not lines[0][1].startswith("space "):
-        raise ParseError("expected a 'space' header", lines[0][0] if lines else 1)
+    if not lines:
+        raise ParseError("empty input", 1)
+    return _parse_object(lines, expect)
+
+
+def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
     lineno, header = lines[0]
-    space = _parse_space_fields(header.split()[1:], lineno)
-    bricks = [_parse_side(body, space, no) for no, body in lines[1:]]
-    for no, b in zip((no for no, _ in lines[1:]), bricks):
-        try:
-            b.validate(space)
-        except Exception as err:
-            raise ParseError(str(err), no) from None
-    return Clopen(space, bricks)
+    word, *rest = header.split()
+    kind = _HEADERS.get(word)
+    if expect is not None and (kind is None or not issubclass(kind, expect)):
+        raise ParseError("expected a %s header" % " or ".join(
+            "'%s'" % w for w, k in _HEADERS.items() if issubclass(k, expect)), lineno)
+    if kind is None:
+        raise ParseError("unknown block type %r" % word, lineno)
+    if word == "vpair":
+        if rest:
+            raise ParseError("bad vpair header", lineno)
+        space = binary_space()
+        side = lambda s, no: Brick(0, (parse_word(s, no),))
+    else:
+        space = _parse_space_fields(rest, lineno)
+        side = lambda s, no: _parse_side(s, space, no)
+    items = []
+    for no, body in lines[1:]:
+        if kind is Clopen:
+            brick = side(body, no)
+            try:
+                brick.validate(space)
+            except DomainError as err:
+                raise ParseError(str(err), no) from None
+            items.append(brick)
+        else:
+            dom, arrow, ran = body.partition("->")
+            if not arrow:
+                raise ParseError("expected '<dom> -> <ran>'", no)
+            items.append((side(dom.strip(), no), side(ran.strip(), no)))
+    try:
+        return kind(space, items)
+    except DomainError as err:
+        raise ParseError(str(err), lineno) from None
 
 
 def _format_table_like(t: PrefixBijection, kind: str) -> str:
@@ -125,71 +175,12 @@ def format_bisection(b: PrefixBijection) -> str:
     return _format_table_like(b, "bisection")
 
 
-def parse_table_like(text: str):
-    """Parse a 'table' (full element) or 'bisection' (partial) file."""
-    lines = _split_lines(text)
-    if not lines:
-        raise ParseError("empty input", 1)
-    lineno, header = lines[0]
-    kind = header.split()[0]
-    if kind not in ("table", "bisection"):
-        raise ParseError("expected a 'table' or 'bisection' header", lineno)
-    space = _parse_space_fields(header.split()[1:], lineno)
-    cells = []
-    for no, body in lines[1:]:
-        if "->" not in body:
-            raise ParseError("expected '<dom> -> <ran>'", no)
-        dom_text, _, ran_text = body.partition("->")
-        cells.append(
-            (_parse_side(dom_text.strip(), space, no), _parse_side(ran_text.strip(), space, no))
-        )
-    try:
-        if kind == "table":
-            return TableElement(space, cells)
-        return PrefixBijection(space, cells)
-    except Exception as err:
-        raise ParseError(str(err), lineno) from None
-
-
-def parse_table(text: str) -> TableElement:
-    out = parse_table_like(text)
-    if not isinstance(out, TableElement):
-        raise ParseError("expected a full table, got a partial bisection")
-    return out
-
-
 def format_vpair(v: TableElement) -> str:
-    from .vembed import binary_space
-
     v.space.check_same(binary_space())
     lines = ["vpair"]
     for d, r in v.cells:
         lines.append("%s -> %s" % (format_word(d.words[0]), format_word(r.words[0])))
     return "\n".join(lines) + "\n"
-
-
-def parse_vpair(text: str) -> TableElement:
-    from .vembed import binary_space
-
-    space = binary_space()
-    lines = _split_lines(text)
-    if not lines or lines[0][1] != "vpair":
-        raise ParseError("expected a 'vpair' header", lines[0][0] if lines else 1)
-    cells = []
-    for no, body in lines[1:]:
-        if "->" not in body:
-            raise ParseError("expected '<dom> -> <ran>'", no)
-        dom_text, _, ran_text = body.partition("->")
-        cells.append(
-            (
-                Brick(0, (parse_word(dom_text.strip(), no),)),
-                Brick(0, (parse_word(ran_text.strip(), no),)),
-            )
-        )
-    try:
-        return TableElement(space, cells)
-    except Exception as err:
-        raise ParseError(str(err), lines[0][0]) from None
 
 
 def format_point(p: RationalPoint) -> str:
@@ -254,55 +245,26 @@ def format_witness(w: Witness) -> str:
     return out
 
 
-def _parse_block(text: str, lineno: int):
-    lines = _split_lines(text)
-    if not lines:
-        raise ParseError("empty block", lineno)
-    head = lines[0][1].split()[0]
-    if head == "space":
-        return parse_clopen(text)
-    if head in ("table", "bisection"):
-        return parse_table_like(text)
-    if head == "vpair":
-        return parse_vpair(text)
-    raise ParseError("unknown block type %r" % head, lineno)
-
-
 def parse_witness(text: str) -> Witness:
-    lines = text.splitlines()
-    idx = 0
-    header = None
-    while idx < len(lines):
-        stripped = lines[idx].strip()
-        if stripped and not stripped.startswith("#"):
-            header = (idx + 1, stripped)
-            break
-        idx += 1
-    if header is None or not header[1].startswith("witness "):
+    lines = _split_lines(text)
+    if not lines or not lines[0][1].startswith("witness "):
         raise ParseError("expected a 'witness <kind>' header", 1)
-    w = Witness(kind=header[1].split(None, 1)[1].strip())
-    idx += 1
+    w = Witness(kind=lines[0][1].split(None, 1)[1].strip())
+    idx = 1
     while idx < len(lines):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("#"):
-            idx += 1
-            continue
-        if stripped.startswith("begin "):
-            name = stripped[6:].strip()
-            start = idx + 1
-            body = []
-            idx += 1
-            while idx < len(lines) and lines[idx].strip() != "end":
-                body.append(lines[idx])
-                idx += 1
-            if idx >= len(lines):
-                raise ParseError("unterminated block %r" % name, start)
-            # padded so that errors in the block report the file's line numbers
-            w.blocks[name] = _parse_block("\n" * start + "\n".join(body), start)
-            idx += 1
+        lineno, line = lines[idx]
+        if line.startswith("begin "):
+            name = line[6:].strip()
+            end = next((j for j in range(idx + 1, len(lines)) if lines[j][1] == "end"), None)
+            if end is None:
+                raise ParseError("unterminated block %r" % name, lineno)
+            if end == idx + 1:
+                raise ParseError("empty block", lineno)
+            w.blocks[name] = _parse_object(lines[idx + 1:end])
+            idx = end + 1
         else:
-            key, _, value = stripped.partition(" ")
+            key, _, value = line.partition(" ")
             w.params[key] = value.strip()
-            w.param_lines[key] = idx + 1
+            w.param_lines[key] = lineno
             idx += 1
     return w

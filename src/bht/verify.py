@@ -217,10 +217,12 @@ def _check_embed(w: Witness) -> list[Check]:
         (s0.image.union(s1.image) == y, "halves partition the region"),
     ]
     if "velement" in w.blocks:
-        emb = VEmbedding(y.space, y, s0, s1)
         img = _need(w, "image", TableElement)
-        got = evaluate_embedding(emb, _need(w, "velement", TableElement, binary_space()))
-        checks.append((equals(img, got), "image matches the evaluated element"))
+        v = _need(w, "velement", TableElement, binary_space())
+        # the embedding exists only when the region checks above pass
+        matches = all(ok for ok, _ in checks) and equals(
+            img, evaluate_embedding(VEmbedding(y.space, y, s0, s1), v))
+        checks.append((matches, "image matches the evaluated element"))
         checks.append((closed_support(img).issubset(y), "image supported in the region"))
     return checks
 

@@ -4,18 +4,19 @@ import pytest
 
 from bht.cli import main
 from bht.element import TableElement
+from bht.space import Clopen
 from bht.textio import (
     Witness,
+    format_bisection,
     format_clopen,
     format_table,
     format_vpair,
     format_witness,
-    parse_clopen,
-    parse_table,
+    parse,
     parse_witness,
 )
 from bht.vembed import binary_space
-from bht.witness import compress, multisection
+from bht.witness import compress, multisection, vigor_witness
 from util import B, V2, V3, clp
 
 
@@ -51,9 +52,9 @@ def test_eq_and_compose(capsys, tmp_path, swap_file, id_file):
     assert code == 0 and out.strip() == "false"
     code, out, _ = run(capsys, "compose", swap_file, swap_file)
     assert code == 0
-    assert parse_table(out).cells == ((B(0, "e"), B(0, "e")),)
+    assert parse(out, TableElement).cells == ((B(0, "e"), B(0, "e")),)
     code, out, _ = run(capsys, "invert", swap_file)
-    assert code == 0 and parse_table(out) == parse_table(open(swap_file).read())
+    assert code == 0 and parse(out, TableElement) == parse(open(swap_file).read(), TableElement)
 
 
 def test_order_support_apply(capsys, tmp_path):
@@ -65,7 +66,7 @@ def test_order_support_apply(capsys, tmp_path):
     code, out, _ = run(capsys, "order", path, "--max", "8")
     assert code == 0 and out.strip() == "exceeds bound"
     code, out, _ = run(capsys, "support", path)
-    assert code == 0 and parse_clopen(out) == V2.full()
+    assert code == 0 and parse(out, Clopen) == V2.full()
     code, out, _ = run(capsys, "apply", path, "--point", "root:0 e(10)")
     assert code == 0 and out.strip() == "root:0 01(10)"
 
@@ -133,8 +134,6 @@ def test_compressibility_commands(capsys, tmp_path):
     assert code == 0 and "FAIL" not in out2
 
     # condition 1 with an element supported away from the point
-    from bht.witness import vigor_witness
-
     g = vigor_witness(clp(V2, "1"), clp(V2, "10"), clp(V2, "11"))
     gfile = write(tmp_path, "g.tbl", format_table(g))
     code, out, _ = run(capsys, "compressibility", "--point", "root:0 e(0)",
@@ -154,6 +153,41 @@ def test_embed_v_command(capsys, tmp_path):
     wfile = write(tmp_path, "e.txt", out)
     code, out2, _ = run(capsys, "verify", wfile)
     assert code == 0 and "FAIL" not in out2
+
+
+def test_v_elements_in_vpair_form_with_comments(capsys, tmp_path):
+    x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
+    v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
+    vfile = write(tmp_path, "v.vpair", "# the swap of the two halves\n\n" + format_vpair(v))
+    code, out, err = run(capsys, "embed-v", "--space", "1,3,1", "--support", x, vfile)
+    assert (code, err) == (0, "")
+    code, out2, _ = run(capsys, "verify", write(tmp_path, "e.txt", out))
+    assert code == 0 and "FAIL" not in out2
+    # any command that reads a table reads the vpair form too
+    code, out, err = run(capsys, "invert", vfile)
+    assert (code, err) == (0, "") and parse(out, TableElement) == v
+
+
+def test_verify_lists_embed_checks_when_halves_overlap(capsys, tmp_path):
+    x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
+    vfile = write(tmp_path, "v.vpair", "vpair\n0 -> 1\n1 -> 0\n")
+    code, out, _ = run(capsys, "embed-v", "--space", "1,3,1", "--support", x, vfile)
+    assert code == 0
+    forged = parse_witness(out)
+    forged.blocks["s1"] = forged.blocks["s0"]
+    code, out, err = run(capsys, "verify", write(tmp_path, "e.txt", format_witness(forged)))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "FAIL halves disjoint" in lines
+    assert "FAIL image matches the evaluated element" in lines
+    assert len(lines) == 7
+
+
+def test_parser_reuse_carries_no_state(capsys):
+    code, out, _ = run(capsys, "--porcelain", "perfect", "--space", "2,2,3,1")
+    assert (code, out) == (0, "perfect=true\n")
+    code, out, _ = run(capsys, "perfect", "--space", "2,2,3,1")
+    assert (code, out) == (0, "true\n")
 
 
 def test_table_commands(capsys):
@@ -184,6 +218,12 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and "class mismatch" in err
     code, _, err = run(capsys, "abelianization", "--space", "2,3,5,1")
     assert code == 1 and "not" in err
+    # a file of the wrong kind is refused at its header line
+    part = write(tmp_path, "b.bis", format_bisection(compress(clp(V2, "0"), V2.full())))
+    table = write(tmp_path, "t.tbl", format_table(TableElement(V2, [(B(0, "e"), B(0, "e"))])))
+    for argv in (["invert", part], ["double", table]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("parse error: line 1: "), argv
 
 
 @pytest.mark.parametrize("cycle_sets, failed", [
@@ -320,15 +360,27 @@ def test_verify_rejects_mutations_across_kinds(capsys, tmp_path):
     y = write(tmp_path, "y.clp", format_clopen(clp(V3, "1")))
     z = write(tmp_path, "z.clp", format_clopen(clp(V3, "2")))
     full = write(tmp_path, "f.clp", format_clopen(V3.full()))
+    y1 = write(tmp_path, "y1.clp", format_clopen(clp(V3, "00")))
+    y2 = write(tmp_path, "y2.clp", format_clopen(clp(V3, "01")))
+    u1, u2, u2b, u3 = (write(tmp_path, "u%d.clp" % i, format_clopen(clp(V2, w)))
+                       for i, w in enumerate(("10", "11", "110", "111")))
+    g = write(tmp_path, "g.tbl", format_table(vigor_witness(clp(V2, "1"), clp(V2, "10"), clp(V2, "11"))))
+    point = ["--point", "root:0 e(0)"]
     outputs = []
     for argv in (
         ["compress", full, x],
         ["between", x, y],
         ["multisection", x, y, z],
         ["embed-v", "--space", "1,3,1", "--support", x],
+        ["double", x],
+        ["vigor", x, y1, y2],
+        ["conjugates", g, "--count", "3"],
+        ["compressibility", *point, "--cond", "1", g],
+        ["compressibility", *point, "--cond", "2", u1, u2],
+        ["compressibility", *point, "--cond", "3", u1, u2b, u3],
     ):
         code, out, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == 0, argv
         outputs.append(out)
-    total = sum(_mutation_fuzz(capsys, tmp_path, rng, out, 15) for out in outputs)
-    assert total >= 40
+    rejected = [_mutation_fuzz(capsys, tmp_path, rng, out, 15) for out in outputs]
+    assert min(rejected) >= 10, rejected

@@ -1,16 +1,21 @@
 """Property tests against point membership, the point action and all-pairs references."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bht.element import _check_disjoint, apply_point, compose, equals, image_clopen, invert  # noqa: E402
-from bht.errors import DomainError  # noqa: E402
-from bht.sampling import random_element, random_partition, random_point  # noqa: E402
+from bht.element import (  # noqa: E402
+    PrefixBijection, TableElement, _check_disjoint, _covers, apply_point, compose, equals,
+    image_clopen, invert,
+)
+from bht.errors import DomainError, ParseError  # noqa: E402
+from bht.sampling import random_clopen, random_element, random_partition, random_point  # noqa: E402
 from bht.space import Brick, Clopen, SpaceSpec, compose_cells, point_in  # noqa: E402
+from bht.textio import Witness, format_witness, parse_witness  # noqa: E402
 from test_element import oracle_agree  # noqa: E402
 from util import V2, V3, V23, V2x2, compose_cells_all_pairs, refine  # noqa: E402
 
@@ -167,3 +172,52 @@ def test_check_disjoint_names_the_pairwise_overlap(bs):
     except DomainError as err:
         got = str(err)
     assert got == _pairwise_overlap(bs)
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES + [V23]), st.randoms(use_true_random=False))
+def test_covers_matches_measure(space, rng):
+    parts = random_partition(space, rng, splits=rng.randint(0, 8))
+    kept = [b for b in parts if rng.random() < 0.8]
+    assert _covers(space, kept) == (sum((b.measure(space) for b in kept), Fraction(0)) == space.r)
+    # one brick shrunk to its first child, on either side of a table
+    shrunk = [parts[0].child(0, 0)] + parts[1:]
+    for cells, side in ((zip(shrunk, parts), "source"), (zip(parts, shrunk), "target")):
+        with pytest.raises(DomainError, match="^%s bricks do not cover the space$" % side):
+            TableElement(space, cells)
+
+
+@SETTINGS
+@given(st.sampled_from(SPACES), st.randoms(use_true_random=False), st.data())
+def test_witness_lines_ignore_blank_and_comment_lines(space, rng, data):
+    g = random_element(space, rng, factors=2, splits=2)
+    blocks = {"X": random_clopen(space, rng, splits=3), "element": g,
+              "part": PrefixBijection(space, g.cells[: len(g.cells) // 2 + 1])}
+    lines = format_witness(Witness("kind", params={"count": "3", "note": "two words"},
+                                   blocks=blocks)).splitlines()
+    pads = data.draw(st.lists(st.tuples(
+        st.integers(0, len(lines)), st.sampled_from(["", "  ", "\t", "# note", "  # begin X", "#end"])),
+        max_size=8))
+    # shift[i]: lines inserted before line i of the formatted text
+    shift = [sum(at <= i for at, _ in pads) for i in range(len(lines))]
+
+    def pad(lines):
+        out = []
+        for i, line in enumerate(lines + [None]):
+            out += [text for at, text in pads if at == i]
+            if line is not None:
+                out.append(line)
+        return "\n".join(out) + "\n"
+
+    back, padded = parse_witness("\n".join(lines) + "\n"), parse_witness(pad(lines))
+    assert (padded.kind, padded.params, padded.blocks) == (back.kind, back.params, back.blocks)
+    assert padded.param_lines == {key: no + shift[no - 1] for key, no in back.param_lines.items()}
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("root:")]))
+    corrupted = lines[:i] + [lines[i].replace("root:", "root:?", 1)] + lines[i + 1:]
+    errors = []
+    for text in ("\n".join(corrupted) + "\n", pad(corrupted)):
+        with pytest.raises(ParseError) as err:
+            parse_witness(text)
+        errors.append(err.value)
+    assert [e.line for e in errors] == [i + 1, i + 1 + shift[i]]
+    assert str(errors[0]).split(": ", 1)[1] == str(errors[1]).split(": ", 1)[1]

@@ -14,11 +14,8 @@ from bht.textio import (
     format_table,
     format_vpair,
     format_witness,
-    parse_clopen,
+    parse,
     parse_point,
-    parse_table,
-    parse_table_like,
-    parse_vpair,
     parse_witness,
 )
 from bht.vembed import binary_space
@@ -30,8 +27,8 @@ def test_clopen_round_trip_fixed():
     x = clp(V23, "0,e", "1,01")
     text = format_clopen(x)
     assert text == "space n=2 k=2,3 r=1\nroot:0 0,e\nroot:0 1,01\n"
-    assert parse_clopen(text) == x
-    assert parse_clopen(format_clopen(V2.empty())) == V2.empty()
+    assert parse(text, Clopen) == x
+    assert parse(format_clopen(V2.empty()), Clopen) == V2.empty()
 
 
 def test_clopen_round_trip_random():
@@ -39,7 +36,7 @@ def test_clopen_round_trip_random():
     for _ in range(60):
         space = rng.choice([V2, V3, V23, SpaceSpec(1, (2,), 3)])
         x = random_clopen(space, rng, splits=3)
-        assert parse_clopen(format_clopen(x)) == x
+        assert parse(format_clopen(x), Clopen) == x
 
 
 def test_table_round_trip():
@@ -48,24 +45,24 @@ def test_table_round_trip():
         space = rng.choice([V2, V3, V23])
         g = canonicalize(random_element(space, rng, factors=2, splits=2))
         text = format_table(g)
-        assert parse_table(text) == g
-        assert text == format_table(parse_table(text))
+        assert parse(text, TableElement) == g
+        assert text == format_table(parse(text, TableElement))
 
 
 def test_bisection_round_trip():
     b = PrefixBijection(V2, [(B(0, "0"), B(0, "10"))])
     text = format_bisection(b)
     assert text.startswith("bisection n=1 k=2 r=1\n")
-    assert parse_table_like(text) == b
-    with pytest.raises(ParseError):
-        parse_table(text)
+    assert parse(text) == b
+    with pytest.raises(ParseError, match="^line 1: expected a 'table' or 'vpair' header$"):
+        parse(text, TableElement)
 
 
 def test_vpair_round_trip():
     v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
     text = format_vpair(v)
     assert text == "vpair\n0 -> 1\n1 -> 0\n"
-    assert parse_vpair(text) == v
+    assert parse(text) == v
 
 
 def test_point_round_trip():
@@ -80,24 +77,24 @@ def test_point_round_trip():
 
 def test_parse_errors_report_lines():
     with pytest.raises(ParseError, match="line 1"):
-        parse_clopen("nonsense\n")
+        parse("nonsense\n", Clopen)
     with pytest.raises(ParseError, match="line 2"):
-        parse_clopen("space n=1 k=2 r=1\nroot:0 0,1\n")
+        parse("space n=1 k=2 r=1\nroot:0 0,1\n", Clopen)
     with pytest.raises(ParseError, match="line 2"):
-        parse_table("table n=1 k=2 r=1\nroot:0 0 root:0 1\n")
+        parse("table n=1 k=2 r=1\nroot:0 0 root:0 1\n", TableElement)
     with pytest.raises(ParseError, match="^line 1: target bricks overlap"):
-        parse_vpair("vpair\n0 -> 0\n1 -> e\n")
+        parse("vpair\n0 -> 0\n1 -> e\n")
     with pytest.raises(ParseError):
         parse_point("0(1)", V2)
     with pytest.raises(ParseError):
-        parse_clopen("space n=1 k=99 r=x\n")
+        parse("space n=1 k=99 r=x\n", Clopen)
     # headers that parse but describe no space
     for header, message in (("space n=1 k=1 r=1", "every alphabet size must be >= 2"),
                             ("space n=0 k=2 r=1", "dimension count must be >= 1")):
         with pytest.raises(ParseError, match="^line 2: %s$" % message):
-            parse_clopen("# comment\n%s\nroot:0 e\n" % header)
+            parse("# comment\n%s\nroot:0 e\n" % header, Clopen)
         with pytest.raises(ParseError, match="^line 1: %s$" % message):
-            parse_table(header.replace("space", "table") + "\nroot:0 e -> root:0 e\n")
+            parse(header.replace("space", "table") + "\nroot:0 e -> root:0 e\n", TableElement)
 
 
 def test_witness_round_trip():
@@ -126,8 +123,12 @@ def test_witness_parse_errors():
             parse_witness(text)
     with pytest.raises(ParseError, match="^line 3: target bricks overlap"):
         parse_witness("witness embed\nbegin velement\nvpair\n0 -> 0\n1 -> e\nend\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 2: unterminated block 'X'$"):
         parse_witness("witness vigor\nbegin X\nspace n=1 k=2 r=1\n")
+    with pytest.raises(ParseError, match="^line 2: empty block$"):
+        parse_witness("witness vigor\nbegin X\n# nothing\nend\n")
+    with pytest.raises(ParseError, match="^line 4: unknown block type 'clopen'$"):
+        parse_witness("witness vigor\nbegin X\n\nclopen n=1 k=2 r=1\nend\n")
     with pytest.raises(ParseError, match="^line 4: every alphabet size must be >= 2$"):
         parse_witness("witness compress\n\nbegin A\nspace n=1 k=1 r=1\nroot:0 e\nend\n")
     w = parse_witness("witness compressibility\ncondition 2\n# note\npoint root:0 e(0)\n")
