@@ -10,10 +10,15 @@ Composition refines the middle partitions against each other and rereads the
 resulting cells, so the group law is exact.  Both that meet and the
 disjointness check on construction look bricks up in a
 :class:`bht.space.BrickIndex`, a per-dimension prefix index, and so visit
-only pairs of bricks that really meet.  For one-dimensional spaces the
-canonical form below is the classical reduced table and is unique per
-element; in higher dimensions it is a deterministic normal form and equality
-is decided semantically (``equals``), never by comparing cell lists.
+only pairs of bricks that really meet.
+
+``compose``, ``invert`` and ``canonicalize`` hand their raw cells to
+:func:`bht.space.merge_families` and keep its sorted output as it is: cells
+are sorted once, in the kernel, and tables built this way are not validated
+again.  For one-dimensional spaces the canonical form is the classical
+reduced table and is unique per element; in higher dimensions it is a
+deterministic normal form and equality is decided semantically (``equals``),
+never by comparing cell lists.
 """
 
 from dataclasses import dataclass
@@ -92,11 +97,11 @@ class PrefixBijection:
         return Clopen(self.space, [r for _, r in self.cells])
 
     @classmethod
-    def _wrap(cls, space: SpaceSpec, cells: Iterable[Cell]):
-        """Skip validation for cells that are correct by construction."""
+    def _wrap(cls, space: SpaceSpec, cells: list[Cell]):
+        """Skip validation for sorted cells that are correct by construction."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "cells", tuple(sorted(cells)))
+        object.__setattr__(obj, "cells", tuple(cells))
         return obj
 
 
@@ -142,11 +147,12 @@ def invert_partial(b: PrefixBijection) -> PrefixBijection:
 def compose(f: TableElement, g: TableElement) -> TableElement:
     """Group law: apply g first, then f; the result is canonicalized."""
     f.space.check_same(g.space)
-    return canonicalize(TableElement._wrap(f.space, compose_cells(f.cells, g.cells)))
+    return TableElement._wrap(f.space, merge_families(f.space, compose_cells(f.cells, g.cells)))
 
 
 def invert(g: TableElement) -> TableElement:
-    return canonicalize(TableElement._wrap(g.space, [(r, d) for d, r in g.cells]))
+    """Inverse table, canonicalized."""
+    return TableElement._wrap(g.space, merge_families(g.space, [(r, d) for d, r in g.cells]))
 
 
 def canonicalize(g: TableElement) -> TableElement:

@@ -12,9 +12,13 @@ Canonical form: the brick list is rebuilt as a dimension-major decision tree
 dimension first), and then complete sibling families are merged by
 :func:`merge_families`, the kernel that also normalises prefix-exchange
 tables in :mod:`bht.element` (a brick is passed as the cell ``(b, b)``).  The
-decision-tree stage depends only on the point set, never on the
-representation handed in, which makes the final form unique.  Bricks are
-finally sorted by root, then dimension-major with prefixes first.
+kernel is a worklist: it buckets the cells by family once, per dimension,
+and each merge touches only the buckets of the cells it removes and adds.
+In one dimension the tree has already merged every complete family, so the
+merge is skipped there.  The decision-tree stage depends only on the point
+set, never on the representation handed in, which makes the final form
+unique.  Bricks are finally sorted by root, then dimension-major with
+prefixes first.
 
 All values here are immutable after construction and every operation is a
 pure function, so they can be shared freely between workers.
@@ -69,6 +73,10 @@ class SpaceSpec:
         return Brick(root, ((),) * self.n)
 
     def full(self) -> "Clopen":
+        return self._full
+
+    @cached_property
+    def _full(self) -> "Clopen":
         return Clopen(self, [self.root_brick(i) for i in range(self.r)])
 
     def empty(self) -> "Clopen":
@@ -230,51 +238,71 @@ def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
 
     A family along dimension j is a set of k_j cells obtained from a parent
     cell by appending the same letter to the source and target words in
-    dimension j.  Within one dimension families never overlap, so dimension 0
-    is merged in rounds; higher dimensions merge one family at a time
-    (smallest parent first) and restart, which keeps the result deterministic
-    even though families along different dimensions may share cells.  Tables
-    pass their cells; clopens pass each brick b as the cell ``(b, b)``.
+    dimension j.  Tables pass their cells; clopens pass each brick b as the
+    cell ``(b, b)``.  The source bricks must be pairwise disjoint, as they
+    are for every table, composite and section-tree output.
+
+    The kernel is a worklist.  For every dimension it keeps a bucket of the
+    live cells of each family, keyed by the parent, and the set of complete
+    keys, and a merge updates only the buckets its cells belong to.  It
+    merges along dimension 0 until no family there is complete, in any
+    order: a cell lies in one family per dimension, so a dimension-0 merge
+    never breaks another dimension-0 family, and its parent, being disjoint
+    from every other cell, is new.  Hence all orders reach the same cells.
+    Families along different dimensions may share cells, so it then merges
+    only the smallest complete parent of the lowest such dimension and goes
+    back to dimension 0, which keeps the result deterministic.
     """
-    cells = set(cells)
+    kbar = space.kbar
+    dims = range(space.n)
+    # live cell -> its family key per dimension (None outside any family)
+    live: dict[Cell, list] = {}
+    buckets: list[dict[tuple, set[Cell]]] = [{} for _ in dims]
+    complete: list[set[tuple]] = [set() for _ in dims]
 
-    def complete(dim: int) -> list[Cell]:
-        # Keyed by plain tuples; only complete parents become bricks.
-        buckets: dict[tuple, set[int]] = {}
-        for d, r in cells:
-            dw, rw = d.words[dim], r.words[dim]
+    def enter(cell: Cell):
+        d, r = cell
+        keys = []
+        for j in dims:
+            dw, rw = d.words[j], r.words[j]
             if dw and rw and dw[-1] == rw[-1]:
-                key = (
-                    d.root, d.words[:dim] + (dw[:-1],) + d.words[dim + 1:],
-                    r.root, r.words[:dim] + (rw[:-1],) + r.words[dim + 1:],
-                )
-                buckets.setdefault(key, set()).add(dw[-1])
-        k = space.kbar[dim]
-        return [
-            (Brick(dr, dp), Brick(rr, rp))
-            for (dr, dp, rr, rp), letters in buckets.items() if len(letters) == k
-        ]
+                key = (d.root, d.words[:j] + (dw[:-1],) + d.words[j + 1:],
+                       r.root, r.words[:j] + (rw[:-1],) + r.words[j + 1:])
+                members = buckets[j].setdefault(key, set())
+                members.add(cell)
+                if len(members) == kbar[j]:
+                    complete[j].add(key)
+            else:
+                key = None
+            keys.append(key)
+        live[cell] = keys
 
-    def merge(parent: Cell, dim: int):
-        pd, pr = parent
-        for a in range(space.kbar[dim]):
-            cells.discard((pd.child(dim, a), pr.child(dim, a)))
-        cells.add(parent)
+    def merge(key: tuple, dim: int):
+        # the family's own bucket goes; its cells leave the other dimensions
+        complete[dim].discard(key)
+        for cell in buckets[dim].pop(key):
+            for j, k in enumerate(live.pop(cell)):
+                if k is not None and j != dim:
+                    members = buckets[j][k]
+                    members.remove(cell)
+                    complete[j].discard(k)
+                    if not members:
+                        del buckets[j][k]
+        dr, dp, rr, rp = key
+        enter((Brick(dr, dp), Brick(rr, rp)))
 
+    for cell in cells:
+        enter(cell)
     while True:
-        parents = complete(0)
-        while parents:
-            for p in parents:
-                merge(p, 0)
-            parents = complete(0)
-        for j in range(1, space.n):
-            parents = complete(j)
-            if parents:
-                merge(min(parents), j)
+        while complete[0]:
+            merge(complete[0].pop(), 0)
+        # flat keys sort as the parent cells (Brick(dr, dp), Brick(rr, rp)) do
+        for j in dims[1:]:
+            if complete[j]:
+                merge(min(complete[j]), j)
                 break
         else:
-            break
-    return sorted(cells)
+            return sorted(live)
 
 
 def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
@@ -282,12 +310,15 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
     by_root: dict[int, list[tuple[Word, ...]]] = {}
     for b in bricks:
         by_root.setdefault(b.root, []).append(b.words)
-    sectioned = []
-    for root, boxes in by_root.items():
-        for words in _section_words(space, 0, boxes):
-            b = Brick(root, words)
-            sectioned.append((b, b))
-    return tuple(b for b, _ in merge_families(space, sectioned))
+    sectioned = [
+        Brick(root, words)
+        for root, boxes in by_root.items()
+        for words in _section_words(space, 0, boxes)
+    ]
+    if space.n == 1:
+        # the one-dimensional section tree has merged every complete family
+        return tuple(sorted(sectioned))
+    return tuple(b for b, _ in merge_families(space, ((b, b) for b in sectioned)))
 
 
 _PAST = (math.inf,)
@@ -432,7 +463,8 @@ class Clopen:
         return self.difference(other).is_empty()
 
     def isdisjoint(self, other: "Clopen") -> bool:
-        return self.intersect(other).is_empty()
+        self.space.check_same(other.space)
+        return not any(compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks]))
 
     def h0_class(self) -> int:
         return len(self.bricks) % self.space.g

@@ -115,12 +115,17 @@ def _check_multisection(w: Witness) -> list[Check]:
 def _check_vigor(w: Witness) -> list[Check]:
     x, y1, y2 = _need(w, "X"), _need(w, "Y1"), _need(w, "Y2")
     g = _need(w, "element", TableElement)
+    case = vigor_case(x, y1, y2)
     checks = [
         (closed_support(g).issubset(x), "support inside X"),
         (image_clopen(g, y1).issubset(y2), "image of Y1 inside Y2"),
     ]
-    if vigor_case(x, y1, y2) == "b":
+    if case == "b":
         checks.append((order(g, 4) == 3, "single-cycle case has order 3"))
+    # Listed only when violated, so that the output of a well-formed witness
+    # keeps its lines; a missing parameter is a mismatch.
+    if w.params.get("case") != case:
+        checks.append((False, "case parameter matches the sets"))
     return checks
 
 

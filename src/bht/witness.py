@@ -25,7 +25,7 @@ from .element import (
     is_identity,
 )
 from .errors import ClassMismatchError, DomainError, UnsatisfiableError
-from .space import Brick, Clopen, RationalPoint, SpaceSpec, point_in, subdivide
+from .space import Brick, Clopen, RationalPoint, SpaceSpec, merge_families, point_in, subdivide
 
 
 def compress(a: Clopen, b: Clopen) -> PrefixBijection:
@@ -131,13 +131,16 @@ def bisection_between(a: Clopen, b: Clopen) -> PrefixBijection:
 
 def _assemble_cycle(b1: PrefixBijection, b2: PrefixBijection) -> TableElement:
     """Order-3 element from b1: A -> B and b2: B -> C (sources exact):
-    the union b1 + b2 + (b2 b1)^-1, extended by the identity."""
+    the union b1 + b2 + (b2 b1)^-1, extended by the identity.
+
+    A, B and C are disjoint, so the cells form a table by construction and
+    are canonicalized without being validated again."""
     space = b1.space
     closing = invert_partial(compose_partial(b2, b1))
     cells = list(b1.cells) + list(b2.cells) + list(closing.cells)
     rest = Clopen(space, [d for d, _ in cells]).complement()
     cells += [(x, x) for x in rest.bricks]
-    return canonicalize(TableElement(space, cells))
+    return TableElement._wrap(space, merge_families(space, cells))
 
 
 def multisection(x0: Clopen, x1: Clopen, x2: Clopen) -> Multisection:

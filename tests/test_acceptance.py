@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v`` (or ``-s`` to see the
 per-criterion lines while running).
 """
 
-import itertools
 import math
 import random
 import time
@@ -43,7 +42,7 @@ from bht.witness import (
     vigor_case,
     vigor_witness,
 )
-from util import clp, pt
+from util import clp, oracle_agree, pt
 
 V2 = SpaceSpec(1, (2,), 1)
 V3 = SpaceSpec(1, (3,), 1)
@@ -152,37 +151,6 @@ def test_criterion_4_mixed_alphabets():
             assert homology(sp, j) == AbelianGroup.power(2, math.comb(1, j))
 
 
-def _oracle_image(tbl, root, words):
-    for d, r in tbl.cells:
-        if d.root == root and all(
-            w[: len(dw)] == dw for w, dw in zip(words, d.words)
-        ):
-            return r.root, tuple(
-                rw + w[len(dw):] for w, dw, rw in zip(words, d.words, r.words)
-            )
-    raise AssertionError("word tuple not covered")
-
-
-def _oracle_agree(f, g):
-    space = f.space
-    profile = [
-        1 + max(
-            [len(d.words[j]) for d, _ in f.cells]
-            + [len(d.words[j]) for d, _ in g.cells]
-        )
-        for j in range(space.n)
-    ]
-    pools = [
-        [tuple(w) for w in itertools.product(range(space.kbar[j]), repeat=profile[j])]
-        for j in range(space.n)
-    ]
-    for root in range(space.r):
-        for words in itertools.product(*pools):
-            if _oracle_image(f, root, words) != _oracle_image(g, root, words):
-                return False
-    return True
-
-
 def test_criterion_5_group_law_oracle_suite():
     with Criterion(5, "group axioms and oracle agreement, 1000 triples x 4 spaces", 60.0):
         for sp in (V2, V3, V2X2, V23):
@@ -194,11 +162,11 @@ def test_criterion_5_group_law_oracle_suite():
                 assert equals(compose(compose(f, g), h), compose(f, compose(g, h)))
                 assert is_identity(compose(f, invert(f)))
                 assert is_identity(compose(invert(f), f))
-                assert equals(f, g) == _oracle_agree(f, g)
+                assert equals(f, g) == oracle_agree(f, g)
                 if t % 5 == 0:
                     # an equal pair presented by a different table
                     f2 = compose(compose(f, g), invert(g))
-                    assert equals(f, f2) and _oracle_agree(f, f2)
+                    assert equals(f, f2) and oracle_agree(f, f2)
 
 
 def test_criterion_6a_compress_suite():

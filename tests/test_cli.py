@@ -354,6 +354,22 @@ def test_verify_rejects_mutated_witnesses(capsys, tmp_path):
     assert _mutation_fuzz(capsys, tmp_path, rng, out, 30) >= 20
 
 
+@pytest.mark.parametrize("case", ["zzb", "c", None], ids=["zzb", "wrong-letter", "missing"])
+def test_verify_checks_the_vigor_case(capsys, tmp_path, case):
+    x, y1, y2 = (write(tmp_path, "%s.clp" % name, format_clopen(clp(V2, w)))
+                 for name, w in (("x", "0"), ("y1", "00"), ("y2", "01")))
+    code, out, _ = run(capsys, "vigor", x, y1, y2)
+    assert code == 0 and "case b" in out.splitlines()
+    forged = parse_witness(out)
+    if case is None:
+        del forged.params["case"]
+    else:
+        forged.params["case"] = case
+    code, out, _ = run(capsys, "verify", write(tmp_path, "v.txt", format_witness(forged)))
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL case parameter matches the sets"
+
+
 def test_verify_rejects_mutations_across_kinds(capsys, tmp_path):
     rng = random.Random(913)
     x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))

@@ -23,7 +23,9 @@ from bht.element import (
 from bht.errors import DomainError, SpaceMismatchError
 from bht.sampling import random_element, random_permutation_element
 from bht.space import Brick, Clopen, SpaceSpec, compose_cells
-from util import B, V2, V3, V23, V2x2, W, clp, compose_cells_all_pairs, pt, refine
+from util import (
+    B, V2, V3, V23, V2x2, W, clp, compose_cells_all_pairs, oracle_agree, oracle_image, pt, refine,
+)
 
 SWAP = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
 # source 0 grows, source 1 shrinks; infinite order
@@ -49,39 +51,6 @@ def three_cycle(space, b0, b1, b2) -> TableElement:
     rest = Clopen(space, [b0, b1, b2]).complement()
     cells += [(b, b) for b in rest.bricks]
     return TableElement(space, cells)
-
-
-def oracle_image(tbl: TableElement, root: int, words):
-    """Independent action oracle: route a deep word tuple through the raw cells."""
-    for d, r in tbl.cells:
-        if d.root == root and all(
-            w[: len(dw)] == dw for w, dw in zip(words, d.words)
-        ):
-            return r.root, tuple(
-                rw + w[len(dw):] for w, dw, rw in zip(words, d.words, r.words)
-            )
-    raise AssertionError("word tuple not covered by the table")
-
-
-def oracle_agree(f: TableElement, g: TableElement) -> bool:
-    """Compare f and g on every word tuple one level deeper than their cells."""
-    space = f.space
-    profile = [
-        1 + max(
-            [len(d.words[j]) for d, _ in f.cells]
-            + [len(d.words[j]) for d, _ in g.cells]
-        )
-        for j in range(space.n)
-    ]
-    pools = [
-        [tuple(w) for w in itertools.product(range(space.kbar[j]), repeat=profile[j])]
-        for j in range(space.n)
-    ]
-    for root in range(space.r):
-        for words in itertools.product(*pools):
-            if oracle_image(f, root, words) != oracle_image(g, root, words):
-                return False
-    return True
 
 
 def test_validation_rejects_bad_tables():

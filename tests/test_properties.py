@@ -13,11 +13,16 @@ from bht.element import (  # noqa: E402
     image_clopen, invert,
 )
 from bht.errors import DomainError, ParseError  # noqa: E402
-from bht.sampling import random_clopen, random_element, random_partition, random_point  # noqa: E402
-from bht.space import Brick, Clopen, SpaceSpec, compose_cells, point_in  # noqa: E402
+from bht.sampling import (  # noqa: E402
+    random_clopen, random_element, random_partition, random_permutation_element, random_point,
+)
+from bht.space import (  # noqa: E402
+    Brick, Clopen, SpaceSpec, _section_words, compose_cells, merge_families, point_in, subdivide,
+)
 from bht.textio import Witness, format_witness, parse_witness  # noqa: E402
-from test_element import oracle_agree  # noqa: E402
-from util import V2, V3, V23, V2x2, compose_cells_all_pairs, refine  # noqa: E402
+from util import (  # noqa: E402
+    V2, V3, V23, V2x2, compose_cells_all_pairs, merge_families_rounds, oracle_agree, refine,
+)
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -127,6 +132,78 @@ def test_compose_cells_matches_all_pairs(sides):
     f = list(zip(f_sources, reversed(targets)))
     g = list(zip(g_sources, targets))
     assert Counter(compose_cells(f, g)) == Counter(compose_cells_all_pairs(f, g))
+
+
+def crossed_families(space, rng, parts):
+    """``parts`` with one brick b replaced by a piece of b where a family along
+    dimension 0 and one along a higher dimension j need the same cell.
+
+    The first dimension-0 child of b keeps only the j-children of its t-th
+    j-child; the other dimension-0 children are split once along j.  Merging
+    the family of those grandchildren completes a dimension-0 family that
+    takes one cell from the j-family of every other dimension-0 child, so
+    the merge order decides the result.
+    """
+    i, j = rng.randrange(len(parts)), rng.randrange(1, space.n)
+    t = rng.randrange(space.kbar[j])
+    piece = []
+    for a, child in enumerate(subdivide(space, parts[i], 0)):
+        kids = subdivide(space, child, j)
+        piece += subdivide(space, kids[t], j) if a == 0 else kids
+    return parts[:i] + piece + parts[i + 1:]
+
+
+@st.composite
+def raw_composites(draw):
+    """A space and the unmerged cells of a composite, as compose and image_clopen make them."""
+    space = draw(st.sampled_from(INDEX_SPACES))
+    rng = draw(st.randoms(use_true_random=False))
+    f = random_permutation_element(space, rng, splits=rng.randint(0, 12))
+    g = rng.choice([random_permutation_element(space, rng, splits=rng.randint(0, 12)),
+                    random_element(space, rng, factors=2, splits=3)])
+    x = Clopen(space, draw(nested_bricks(space, 6)))
+    choices = [
+        list(compose_cells(f.cells, g.cells)),
+        # f after f^-1: a partition of identity cells that merges back to the roots
+        list(compose_cells(f.cells, [(r, d) for d, r in f.cells])),
+        list(compose_cells(g.cells, [(b, b) for b in x.bricks])),
+        list(compose_cells(refine(g, rng).cells, [(r, d) for d, r in g.cells])),
+    ]
+    if space.n > 1:
+        crossed = crossed_families(space, rng, random_partition(space, rng, splits=rng.randint(0, 8)))
+        choices += [[(b, b) for b in crossed], list(compose_cells(f.cells, [(b, b) for b in crossed]))]
+    return space, rng.choice(choices)
+
+
+@SETTINGS
+@given(raw_composites())
+def test_merge_families_matches_rounds(composite):
+    space, cells = composite
+    assert merge_families(space, cells) == merge_families_rounds(space, cells)
+
+
+@SETTINGS
+@given(st.sampled_from([V2, V3, SpaceSpec(1, (2,), 2), SpaceSpec(1, (3,), 2)]).flatmap(
+    lambda sp: st.tuples(st.just(sp), nested_bricks(sp, 8))))
+def test_one_dimensional_sections_have_no_families(sb):
+    space, bs = sb
+    cells = [
+        (b, b)
+        for root in range(space.r)
+        for b in (Brick(root, words) for words in _section_words(
+            space, 0, [c.words for c in bs if c.root == root]))
+    ]
+    assert merge_families(space, cells) == sorted(cells)
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES).flatmap(
+    lambda sp: st.tuples(st.just(sp), nested_bricks(sp, 6), nested_bricks(sp, 6))))
+def test_isdisjoint_matches_intersect(sides):
+    space, left, right = sides
+    x, y = Clopen(space, left), Clopen(space, right + left[:1])
+    for u, v in ((x, y), (y, x), (x, x), (x, x.complement()), (x, Clopen(space, right))):
+        assert u.isdisjoint(v) == u.intersect(v).is_empty()
 
 
 def _pairwise_overlap(bricks):

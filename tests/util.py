@@ -1,4 +1,6 @@
-"""Shared helpers for the test suite: terse constructors."""
+"""Shared helpers for the test suite: terse constructors, the point oracle and references."""
+
+import itertools
 
 from bht.element import TableElement
 from bht.space import Brick, Clopen, RationalPoint, SpaceSpec
@@ -37,6 +39,39 @@ def pt(space: SpaceSpec, *coords, root: int = 0) -> RationalPoint:
     return RationalPoint(space, root, [(W(pre), W(per)) for pre, per in coords])
 
 
+def oracle_image(tbl: TableElement, root: int, words):
+    """Independent action oracle: route a deep word tuple through the raw cells."""
+    for d, r in tbl.cells:
+        if d.root == root and all(
+            w[: len(dw)] == dw for w, dw in zip(words, d.words)
+        ):
+            return r.root, tuple(
+                rw + w[len(dw):] for w, dw, rw in zip(words, d.words, r.words)
+            )
+    raise AssertionError("word tuple not covered by the table")
+
+
+def oracle_agree(f: TableElement, g: TableElement) -> bool:
+    """Compare f and g on every word tuple one level deeper than their cells."""
+    space = f.space
+    profile = [
+        1 + max(
+            [len(d.words[j]) for d, _ in f.cells]
+            + [len(d.words[j]) for d, _ in g.cells]
+        )
+        for j in range(space.n)
+    ]
+    pools = [
+        [tuple(w) for w in itertools.product(range(space.kbar[j]), repeat=profile[j])]
+        for j in range(space.n)
+    ]
+    for root in range(space.r):
+        for words in itertools.product(*pools):
+            if oracle_image(f, root, words) != oracle_image(g, root, words):
+                return False
+    return True
+
+
 def refine(g: TableElement, rng) -> TableElement:
     """The same element with every cell split into its children along a random dimension."""
     cells = []
@@ -59,3 +94,50 @@ def compose_cells_all_pairs(f_cells, g_cells) -> list:
             if meet is not None:
                 cells.append((gd.extend(suffixes(meet, gr)), fr.extend(suffixes(meet, fd))))
     return cells
+
+
+def merge_families_rounds(space, cells) -> list:
+    """Reference for ``bht.space.merge_families``: rebuild every bucket after each merge.
+
+    Dimension 0 is merged in rounds of all its complete families; then the
+    smallest complete parent of the lowest higher dimension is merged, and
+    it starts again from dimension 0.
+    """
+    cells = set(cells)
+
+    def complete(dim):
+        buckets = {}
+        for d, r in cells:
+            dw, rw = d.words[dim], r.words[dim]
+            if dw and rw and dw[-1] == rw[-1]:
+                key = (
+                    d.root, d.words[:dim] + (dw[:-1],) + d.words[dim + 1:],
+                    r.root, r.words[:dim] + (rw[:-1],) + r.words[dim + 1:],
+                )
+                buckets.setdefault(key, set()).add(dw[-1])
+        k = space.kbar[dim]
+        return [
+            (Brick(dr, dp), Brick(rr, rp))
+            for (dr, dp, rr, rp), letters in buckets.items() if len(letters) == k
+        ]
+
+    def merge(parent, dim):
+        pd, pr = parent
+        for a in range(space.kbar[dim]):
+            cells.discard((pd.child(dim, a), pr.child(dim, a)))
+        cells.add(parent)
+
+    while True:
+        parents = complete(0)
+        while parents:
+            for p in parents:
+                merge(p, 0)
+            parents = complete(0)
+        for j in range(1, space.n):
+            parents = complete(j)
+            if parents:
+                merge(min(parents), j)
+                break
+        else:
+            break
+    return sorted(cells)
