@@ -23,12 +23,15 @@ def _parse_space_arg(text: str) -> SpaceSpec:
         raise ParseError("space must be a comma-separated list of integers") from None
     if len(nums) == 3:
         n, k, r = nums
-        if n < 1:
-            raise ParseError("space dimension must be >= 1")
-        return SpaceSpec(n, (k,) * n, r)
-    if len(nums) > 3 and len(nums) == nums[0] + 2:
-        return SpaceSpec(nums[0], tuple(nums[1:-1]), nums[-1])
-    raise ParseError("space must be 'n,k,r' or 'n,k_1,...,k_n,r'")
+        kbar = (k,) * n
+    elif len(nums) > 3 and len(nums) == nums[0] + 2:
+        n, kbar, r = nums[0], tuple(nums[1:-1]), nums[-1]
+    else:
+        raise ParseError("space must be 'n,k,r' or 'n,k_1,...,k_n,r'")
+    try:
+        return SpaceSpec(n, kbar, r)
+    except DomainError as err:
+        raise ParseError(str(err)) from None
 
 
 def _read(path: str) -> str:

@@ -12,13 +12,15 @@ disjointness check on construction look bricks up in a
 :class:`bht.space.BrickIndex`, a per-dimension prefix index, and so visit
 only pairs of bricks that really meet.
 
-``compose``, ``invert`` and ``canonicalize`` hand their raw cells to
-:func:`bht.space.merge_families` and keep its sorted output as it is: cells
-are sorted once, in the kernel, and tables built this way are not validated
-again.  For one-dimensional spaces the canonical form is the classical
-reduced table and is unique per element; in higher dimensions it is a
-deterministic normal form and equality is decided semantically (``equals``),
-never by comparing cell lists.
+Validate input, not results: the constructors of both classes check cells
+from outside (``textio.parse``, ``sampling``, library callers); whatever the
+package derives from checked objects is correct by construction and built by
+``_wrap``, unchecked.
+``compose``, ``invert`` and ``canonicalize`` keep the sorted output of
+:func:`bht.space.merge_families` as it is.  For one-dimensional spaces the
+canonical form is the classical reduced table and is unique per element; in
+higher dimensions it is a deterministic normal form and equality is decided
+semantically (``equals``), never by comparing cell lists.
 """
 
 from dataclasses import dataclass
@@ -98,7 +100,7 @@ class PrefixBijection:
 
     @classmethod
     def _wrap(cls, space: SpaceSpec, cells: list[Cell]):
-        """Skip validation for sorted cells that are correct by construction."""
+        """Build from sorted cells derived from validated objects, unchecked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "cells", tuple(cells))
@@ -131,17 +133,24 @@ class Multisection:
 
 def identity(space: SpaceSpec) -> TableElement:
     b = [space.root_brick(i) for i in range(space.r)]
-    return TableElement(space, [(x, x) for x in b])
+    return TableElement._wrap(space, [(x, x) for x in b])
+
+
+def extend_by_identity(space: SpaceSpec, cells: list[Cell]) -> TableElement:
+    """Canonical table acting by ``cells`` (a bisection of a clopen onto
+    itself) and as the identity off its source."""
+    rest = Clopen(space, [d for d, _ in cells]).complement()
+    return TableElement._wrap(space, merge_families(space, cells + [(x, x) for x in rest.bricks]))
 
 
 def compose_partial(f: PrefixBijection, g: PrefixBijection) -> PrefixBijection:
     """Partial composite f after g, defined where the images line up."""
     f.space.check_same(g.space)
-    return PrefixBijection(f.space, compose_cells(f.cells, g.cells))
+    return PrefixBijection._wrap(f.space, sorted(compose_cells(f.cells, g.cells)))
 
 
 def invert_partial(b: PrefixBijection) -> PrefixBijection:
-    return PrefixBijection(b.space, [(r, d) for d, r in b.cells])
+    return PrefixBijection._wrap(b.space, sorted((r, d) for d, r in b.cells))
 
 
 def compose(f: TableElement, g: TableElement) -> TableElement:

@@ -466,9 +466,6 @@ class Clopen:
         self.space.check_same(other.space)
         return not any(compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks]))
 
-    def h0_class(self) -> int:
-        return len(self.bricks) % self.space.g
-
 
 def h0_class(x: Clopen) -> int:
     """Class of a clopen modulo g: canonical brick count mod g.
@@ -477,7 +474,7 @@ def h0_class(x: Clopen) -> int:
     multiple of g, so the class is invariant under subdivision; it is the
     degree-zero homology invariant of the set.
     """
-    return x.h0_class()
+    return len(x.bricks) % x.space.g
 
 
 def _primitive_period(period: Word) -> Word:

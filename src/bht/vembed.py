@@ -6,6 +6,9 @@ Elements of V are tables over the one-dimensional binary space
 zero together with two bisections halving it.  Words over the two halving
 maps name a binary tree of sub-cells of Y, and a V table acts by moving
 those cells around, identity off Y.
+The conditions on (Y, s0, s1) live in :func:`embedding_checks`, for both
+:class:`VEmbedding` and the verifier; what is built from a checked
+embedding is wrapped, not validated again (see :mod:`bht.element`).
 """
 
 import random
@@ -14,17 +17,15 @@ from dataclasses import dataclass
 from .element import (
     PrefixBijection,
     TableElement,
-    canonicalize,
     closed_support,
-    compose,
     compose_partial,
+    extend_by_identity,
     image_clopen,
-    invert_partial,
 )
 from .errors import DomainError
 from .sampling import random_clopen
-from .space import Clopen, SpaceSpec, Word, subdivide
-from .witness import bisection_between, vigor_case, vigor_witness
+from .space import Clopen, SpaceSpec, Word, compose_cells, h0_class, subdivide
+from .witness import _split_brick_list, bisection_between, vigor_case, vigor_witness
 
 _BINARY = SpaceSpec(1, (2,), 1)
 
@@ -32,6 +33,17 @@ _BINARY = SpaceSpec(1, (2,), 1)
 def binary_space() -> SpaceSpec:
     """The space whose table elements are exactly Thompson's group V."""
     return _BINARY
+
+
+def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -> list[tuple[bool, str]]:
+    """(ok, description) for each condition on (region, s0, s1) to embed V."""
+    h0, h1 = s0.image, s1.image
+    return [
+        (h0_class(region) == 0, "region has class zero"),
+        (s0.source == region and s1.source == region, "halving maps start from the region"),
+        (h0.isdisjoint(h1), "halves disjoint"),
+        (h0.union(h1) == region, "halves partition the region"),
+    ]
 
 
 class VEmbedding:
@@ -45,14 +57,9 @@ class VEmbedding:
     __slots__ = ("space", "region", "s0", "s1", "_words")
 
     def __init__(self, space: SpaceSpec, region: Clopen, s0: PrefixBijection, s1: PrefixBijection):
-        if region.h0_class() != 0:
-            raise DomainError("the embedding region must have class zero")
-        if s0.source != region or s1.source != region:
-            raise DomainError("both halving maps must have source equal to the region")
-        if not s0.image.isdisjoint(s1.image):
-            raise DomainError("the halves must be disjoint")
-        if s0.image.union(s1.image) != region:
-            raise DomainError("the halves must partition the region")
+        for ok, what in embedding_checks(region, s0, s1):
+            if not ok:
+                raise DomainError("not an embedding: fails '%s'" % what)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "s0", s0)
@@ -67,7 +74,7 @@ class VEmbedding:
         got = self._words.get(u)
         if got is None:
             if not u:
-                got = PrefixBijection(self.space, [(b, b) for b in self.region.bricks])
+                got = PrefixBijection._wrap(self.space, [(b, b) for b in self.region.bricks])
             else:
                 head = self.s0 if u[0] == 0 else self.s1
                 got = compose_partial(head, self.word_bisection(u[1:]))
@@ -100,19 +107,16 @@ def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
         raise DomainError("the prescribed support must be nonempty")
     y = x
     avail = x.complement()
-    for _ in range((space.g - x.h0_class()) % space.g):
+    for _ in range((space.g - h0_class(x)) % space.g):
         if len(avail.bricks) == 1:
             piece = subdivide(space, avail.bricks[0], 0)[0]
         else:
             piece = avail.bricks[0]
         y = y.union(Clopen(space, [piece]))
         avail = avail.difference(Clopen(space, [piece]))
-    parts = list(y.bricks)
-    need = max(2 * space.g, 2)
-    while len(parts) < need:
-        i = min(range(len(parts)), key=lambda t: (parts[t].depth(), parts[t]))
-        parts[i:i + 1] = subdivide(space, parts[i], 0)
-    parts.sort()
+    # each dimension-0 split adds k_0 - 1 bricks; make at least 2g of them
+    short = max(2 * space.g, 2) - len(y.bricks)
+    parts = _split_brick_list(space, y.bricks, [0] * -(-short // (space.kbar[0] - 1)))
     y0 = Clopen(space, parts[: space.g])
     y1 = Clopen(space, parts[space.g:])
     return VEmbedding(space, y, bisection_between(y, y0), bisection_between(y, y1))
@@ -124,14 +128,9 @@ def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
     v.space.check_same(_BINARY)
     cells = []
     for d, r in v.cells:
-        part = compose_partial(
-            emb.word_bisection(r.words[0]),
-            invert_partial(emb.word_bisection(d.words[0])),
-        )
-        cells.extend(part.cells)
-    rest = emb.region.complement()
-    cells.extend((b, b) for b in rest.bricks)
-    return canonicalize(TableElement(emb.space, cells))
+        back = [(t, s) for s, t in emb.word_bisection(d.words[0]).cells]
+        cells += compose_cells(emb.word_bisection(r.words[0]).cells, back)
+    return extend_by_identity(emb.space, cells)
 
 
 @dataclass(frozen=True)

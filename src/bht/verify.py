@@ -18,7 +18,7 @@ from .element import (
 from .errors import ParseError
 from .space import Clopen, RationalPoint, SpaceSpec, point_in
 from .textio import Witness, parse_point
-from .vembed import VEmbedding, binary_space, evaluate_embedding
+from .vembed import VEmbedding, binary_space, embedding_checks, evaluate_embedding
 from .witness import vigor_case
 
 Check = tuple[bool, str]
@@ -214,13 +214,8 @@ def _check_compressibility(w: Witness) -> list[Check]:
 def _check_embed(w: Witness) -> list[Check]:
     x, y = _need(w, "X"), _need(w, "Y")
     s0, s1 = _need(w, "s0", PrefixBijection), _need(w, "s1", PrefixBijection)
-    checks = [
-        (x.issubset(y), "region contains the prescribed support"),
-        (y.h0_class() == 0, "region has class zero"),
-        (s0.source == y and s1.source == y, "halving maps start from the region"),
-        (s0.image.isdisjoint(s1.image), "halves disjoint"),
-        (s0.image.union(s1.image) == y, "halves partition the region"),
-    ]
+    checks = [(x.issubset(y), "region contains the prescribed support")]
+    checks += embedding_checks(y, s0, s1)
     if "velement" in w.blocks:
         img = _need(w, "image", TableElement)
         v = _need(w, "velement", TableElement, binary_space())

@@ -18,6 +18,7 @@ from .element import (
     closed_support,
     compose,
     compose_partial,
+    extend_by_identity,
     identity,
     image_clopen,
     invert,
@@ -25,7 +26,7 @@ from .element import (
     is_identity,
 )
 from .errors import ClassMismatchError, DomainError, UnsatisfiableError
-from .space import Brick, Clopen, RationalPoint, SpaceSpec, merge_families, point_in, subdivide
+from .space import Brick, Clopen, RationalPoint, SpaceSpec, h0_class, point_in, subdivide
 
 
 def compress(a: Clopen, b: Clopen) -> PrefixBijection:
@@ -48,7 +49,7 @@ def compress(a: Clopen, b: Clopen) -> PrefixBijection:
     pieces = [base]
     for _ in range(levels):
         pieces = [c for p in pieces for c in subdivide(space, p, 0)]
-    return PrefixBijection(space, zip(a.bricks, pieces[: len(a.bricks)]))
+    return PrefixBijection._wrap(space, list(zip(a.bricks, pieces)))
 
 
 def doubling_witness(x: Clopen) -> tuple[PrefixBijection, PrefixBijection]:
@@ -89,6 +90,7 @@ def _coin_steps(m: int, coins: list[tuple[int, int]]):
 
 
 def _split_brick_list(space: SpaceSpec, bricks, dims) -> list[Brick]:
+    """Split the shallowest brick along each of ``dims`` in turn; the pieces, sorted."""
     parts = list(bricks)
     for dim in dims:
         i = min(range(len(parts)), key=lambda t: (parts[t].depth(), parts[t]))
@@ -105,13 +107,11 @@ def bisection_between(a: Clopen, b: Clopen) -> PrefixBijection:
     """
     a.space.check_same(b.space)
     space = a.space
-    ca, cb = a.h0_class(), b.h0_class()
+    ca, cb = h0_class(a), h0_class(b)
     if ca != cb:
         raise ClassMismatchError(ca, cb, space.g)
     if a.is_empty() != b.is_empty():
         raise DomainError("cannot match an empty clopen with a nonempty one")
-    if a.is_empty():
-        return PrefixBijection(space, [])
     coins = []
     for dim, k in enumerate(space.kbar):
         if all(k - 1 != value for value, _ in coins):
@@ -126,21 +126,17 @@ def bisection_between(a: Clopen, b: Clopen) -> PrefixBijection:
         raise AssertionError("no common refinement count found")
     parts_a = _split_brick_list(space, a.bricks, steps_a)
     parts_b = _split_brick_list(space, b.bricks, steps_b)
-    return PrefixBijection(space, zip(parts_a, parts_b))
+    return PrefixBijection._wrap(space, list(zip(parts_a, parts_b)))
 
 
 def _assemble_cycle(b1: PrefixBijection, b2: PrefixBijection) -> TableElement:
     """Order-3 element from b1: A -> B and b2: B -> C (sources exact):
     the union b1 + b2 + (b2 b1)^-1, extended by the identity.
 
-    A, B and C are disjoint, so the cells form a table by construction and
-    are canonicalized without being validated again."""
-    space = b1.space
+    A, B and C are disjoint, so the three legs form a bisection of their
+    union onto itself."""
     closing = invert_partial(compose_partial(b2, b1))
-    cells = list(b1.cells) + list(b2.cells) + list(closing.cells)
-    rest = Clopen(space, [d for d, _ in cells]).complement()
-    cells += [(x, x) for x in rest.bricks]
-    return TableElement._wrap(space, merge_families(space, cells))
+    return extend_by_identity(b1.space, list(b1.cells + b2.cells + closing.cells))
 
 
 def multisection(x0: Clopen, x1: Clopen, x2: Clopen) -> Multisection:

@@ -309,7 +309,7 @@ def test_criterion_7_embedding_suite():
         for sp, support in targets:
             emb = build_v_embedding(sp, support)
             assert support.issubset(emb.region)
-            assert emb.region.h0_class() == 0
+            assert h0_class(emb.region) == 0
             rng = random.Random(7000 + sp.n + sp.kbar[0])
             for _ in range(100):
                 v = random_element(BIN, rng, factors=2, splits=3)

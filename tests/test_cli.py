@@ -218,6 +218,10 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and "class mismatch" in err
     code, _, err = run(capsys, "abelianization", "--space", "2,3,5,1")
     assert code == 1 and "not" in err
+    # a --space value that describes no space is a parse error, as in a header
+    for space in ("0,2,1", "1,1,1", "1,2,0", "2,3,2,0"):
+        code, out, err = run(capsys, "homology", "--space", space, "--degree", "0")
+        assert (code, out) == (2, "") and err.startswith("parse error: "), space
     # a file of the wrong kind is refused at its header line
     part = write(tmp_path, "b.bis", format_bisection(compress(clp(V2, "0"), V2.full())))
     table = write(tmp_path, "t.tbl", format_table(TableElement(V2, [(B(0, "e"), B(0, "e"))])))

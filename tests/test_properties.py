@@ -1,5 +1,8 @@
 """Property tests against point membership, the point action and all-pairs references."""
 
+import contextlib
+import io
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,9 +11,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bht.cli import main  # noqa: E402
 from bht.element import (  # noqa: E402
-    PrefixBijection, TableElement, _check_disjoint, _covers, apply_point, compose, equals,
-    image_clopen, invert,
+    PrefixBijection, TableElement, _check_disjoint, _covers, apply_point, canonicalize, compose,
+    compose_partial, equals, identity, image_clopen, invert, invert_partial, is_identity,
 )
 from bht.errors import DomainError, ParseError  # noqa: E402
 from bht.sampling import (  # noqa: E402
@@ -19,9 +23,16 @@ from bht.sampling import (  # noqa: E402
 from bht.space import (  # noqa: E402
     Brick, Clopen, SpaceSpec, _section_words, compose_cells, merge_families, point_in, subdivide,
 )
-from bht.textio import Witness, format_witness, parse_witness  # noqa: E402
+from bht.textio import Witness, format_clopen, format_vpair, format_witness, parse_witness  # noqa: E402
+from bht.vembed import binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
+from bht.verify import run_checks  # noqa: E402
+from bht.witness import (  # noqa: E402
+    bisection_between, compress, compressibility_witness, conjugate_family, doubling_witness,
+    multisection, vigor_case, vigor_witness,
+)
 from util import (  # noqa: E402
-    V2, V3, V23, V2x2, compose_cells_all_pairs, merge_families_rounds, oracle_agree, refine,
+    V2, V3, V23, V2x2, compose_cells_all_pairs, embed_claims, evaluate_embedding_validated,
+    merge_families_rounds, oracle_agree, refine,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
@@ -298,3 +309,98 @@ def test_witness_lines_ignore_blank_and_comment_lines(space, rng, data):
         errors.append(err.value)
     assert [e.line for e in errors] == [i + 1, i + 1 + shift[i]]
     assert str(errors[0]).split(": ", 1)[1] == str(errors[1]).split(": ", 1)[1]
+
+
+# the derived objects take many random draws: seed a generator instead of
+# drawing each from Hypothesis
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def derived_objects(space, rng) -> list:
+    """Bisections and tables the library derives from validated inputs."""
+    f, g = elements(space, rng, 2)
+    x = random_clopen(space, rng, splits=3, nonempty=True, proper=True)
+    y = random_clopen(space, rng, splits=3, nonempty=True)
+    squeezed = compress(x, y)
+    out = [identity(space), compose(f, g), invert(f), canonicalize(refine(f, rng)),
+           compose_partial(f, g), invert_partial(g), squeezed, *doubling_witness(x),
+           bisection_between(space.empty(), space.empty()),
+           # the image of a compression has the class of its source
+           bisection_between(x, squeezed.image), bisection_between(squeezed.image, x)]
+    parts = random_partition(space, rng, splits=4)
+    while len(parts) < 3:
+        parts = random_partition(space, rng, splits=4)
+    out.append(multisection(*(Clopen(space, [b]) for b in rng.sample(parts, 3))).element)
+    kids = subdivide(space, x.bricks[0], 0)
+    y1 = Clopen(space, kids[:1])
+    y2s = {"a": x, "b": Clopen(space, kids[1:2]), "c": Clopen(space, [kids[0].child(0, 0)])}
+    for case, y2 in y2s.items():
+        assert vigor_case(x, y1, y2) == case
+        out.append(vigor_witness(x, y1, y2))
+    if not is_identity(f):
+        family = conjugate_family(f, 2)
+        out += [family.base, *family.conjugators, *family.conjugates]
+    x0 = random_point(space, rng)
+    away = compressibility_witness(x0, 1, identity(space))
+    u1, u3 = (random_clopen(space, rng, splits=3).intersect(away) for _ in range(2))
+    u2 = random_clopen(space, rng, splits=3, nonempty=True).intersect(away)
+    if not u2.is_empty():
+        out.append(compressibility_witness(x0, 2, u1, u2))
+    out.append(compressibility_witness(x0, 3, u1, away.difference(u1).difference(u3), u3))
+    emb = build_v_embedding(space, x)
+    out += [emb.s0, emb.s1, emb.word_bisection(()), emb.word_bisection((1, 0, 1))]
+    out.append(evaluate_embedding(emb, random_element(binary_space(), rng, factors=2, splits=3)))
+    return out
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES), SEEDS)
+def test_derived_objects_pass_their_validating_constructors(space, seed):
+    # they are wrapped without checks, so check them here: cells in range,
+    # sources and targets disjoint, tables covering, and sorted as built
+    for obj in derived_objects(space, random.Random(seed)):
+        assert type(obj)(space, obj.cells).cells == obj.cells
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES), SEEDS)
+def test_evaluate_embedding_matches_validated_path(space, seed):
+    rng = random.Random(seed)
+    emb = build_v_embedding(space, random_clopen(space, rng, splits=3, nonempty=True, proper=True))
+    for _ in range(3):
+        v = random_element(binary_space(), rng, factors=2, splits=3)
+        assert evaluate_embedding(emb, v) == evaluate_embedding_validated(emb, v)
+
+
+EMBED_SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
+
+
+@SETTINGS
+@given(st.sampled_from(EMBED_SPACES), SEEDS,
+       st.sampled_from([None, None, None, "other image", "s1 = s0", "Y grows"]))
+def test_verify_embed_agrees_with_independent_checker(tmp_path_factory, space, seed, mutation):
+    rng = random.Random(seed)
+    x = random_clopen(space, rng, splits=2, nonempty=True, proper=True)
+    v = random_element(binary_space(), rng, factors=2, splits=2)
+    tmp = tmp_path_factory.mktemp("embed")
+    (tmp / "x.clp").write_text(format_clopen(x))
+    (tmp / "v.vpair").write_text(format_vpair(v))
+    arg = ",".join(map(str, (space.n,) + space.kbar + (space.r,)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["embed-v", "--space", arg, "--support", str(tmp / "x.clp"), str(tmp / "v.vpair")]) == 0
+    w = parse_witness(out.getvalue())
+    emb = build_v_embedding(space, x)
+    if mutation == "other image":
+        w.blocks["image"] = evaluate_embedding(emb, random_element(binary_space(), rng, factors=2, splits=2))
+    elif mutation == "s1 = s0":
+        w.blocks["s1"] = w.blocks["s0"]
+    elif mutation == "Y grows":
+        y = w.blocks["Y"]
+        w.blocks["Y"] = y.union(Clopen(space, y.complement().bricks[:1]))
+    claims = embed_claims(w.blocks)
+    assert run_checks(w) == claims
+    # another V element may still have the same image
+    genuine = mutation is None or (
+        mutation == "other image" and equals(w.blocks["image"], evaluate_embedding(emb, v)))
+    assert all(ok for ok, _ in claims) == genuine

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bht.cli import main
 from bht.element import (
     TableElement,
     closed_support,
@@ -14,13 +15,16 @@ from bht.element import (
 )
 from bht.errors import DomainError
 from bht.sampling import random_element
-from bht.space import Clopen, SpaceSpec
+from bht.space import Clopen, SpaceSpec, h0_class
+from bht.textio import Witness, format_witness
 from bht.vembed import (
+    VEmbedding,
     binary_space,
     build_v_embedding,
     evaluate_embedding,
     image_vigor_check,
 )
+from bht.witness import bisection_between
 from util import B, V2, V3, clp
 
 BIN = binary_space()
@@ -40,11 +44,45 @@ def test_build_for_class_zero_support():
 def test_build_enlarges_to_class_zero():
     emb = build_v_embedding(V3, clp(V3, "0"))
     assert emb.region == clp(V3, "0", "1")
-    assert emb.region.h0_class() == 0
-    assert emb.s0.image.h0_class() == 0
-    assert emb.s1.image.h0_class() == 0
+    assert h0_class(emb.region) == 0
+    assert h0_class(emb.s0.image) == 0
+    assert h0_class(emb.s1.image) == 0
     assert emb.s0.image.union(emb.s1.image) == emb.region
     assert clp(V3, "0").issubset(emb.region)
+
+
+def _broken(case):
+    """(region, s0, s1) from the embedding for V3 and "0" with one condition broken."""
+    emb = build_v_embedding(V3, clp(V3, "0"))
+    y, s0, s1 = emb.region, emb.s0, emb.s1
+    assert (y, s0.image, s1.image) == (clp(V3, "0", "1"), clp(V3, "00", "01"), clp(V3, "02", "1"))
+    if case == "class":
+        # halves of a class-one region cannot partition it as well
+        y = clp(V3, "0")
+        s0, s1 = bisection_between(y, clp(V3, "00")), bisection_between(y, clp(V3, "01"))
+    elif case == "source":
+        s1 = bisection_between(clp(V3, "0", "2"), s1.image)
+    else:
+        s1 = bisection_between(y, clp(V3, "02", "10"))
+    return y, s0, s1
+
+
+BROKEN = {
+    "class": "region has class zero",
+    "source": "halving maps start from the region",
+    "cover": "halves partition the region",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_embedding_rejects_broken_condition(case, capsys, tmp_path):
+    y, s0, s1 = _broken(case)
+    with pytest.raises(DomainError):
+        VEmbedding(V3, y, s0, s1)
+    path = tmp_path / "e.txt"
+    path.write_text(format_witness(Witness("embed", blocks={"X": y, "Y": y, "s0": s0, "s1": s1})))
+    assert main(["verify", str(path)]) == 1
+    assert "FAIL " + BROKEN[case] in capsys.readouterr().out.splitlines()
 
 
 def test_build_rejects_full_or_empty():

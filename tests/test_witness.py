@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bht.element import (
+    PrefixBijection,
     TableElement,
     apply_point,
     closed_support,
@@ -16,7 +17,8 @@ from bht.element import (
 )
 from bht.errors import ClassMismatchError, DomainError, UnsatisfiableError
 from bht.sampling import random_clopen, random_element, random_point
-from bht.space import Brick, Clopen, SpaceSpec, point_in, subdivide
+from bht.space import Clopen, SpaceSpec, h0_class, point_in, subdivide
+from bht.vembed import binary_space, build_v_embedding, evaluate_embedding
 from bht.witness import (
     avoiding_neighborhood,
     bisection_between,
@@ -123,7 +125,7 @@ def test_between_random_invariants():
         space = rng.choice([V3, SpaceSpec(2, (3, 5), 1), V2, SpaceSpec(1, (5,), 2)])
         a = random_clopen(space, rng, splits=3, nonempty=True)
         b = random_clopen(space, rng, splits=3, nonempty=True)
-        if a.h0_class() != b.h0_class():
+        if h0_class(a) != h0_class(b):
             with pytest.raises(ClassMismatchError):
                 bisection_between(a, b)
             continue
@@ -356,3 +358,31 @@ def test_avoiding_neighborhood():
     assert nb.isdisjoint(clp(V2, "01")) and nb.isdisjoint(clp(V2, "1"))
     with pytest.raises(DomainError):
         avoiding_neighborhood(x0, clp(V2, "00"))
+
+
+def test_witnesses_run_no_validating_constructor(monkeypatch):
+    # every witness is derived from validated inputs and wrapped as it is
+    # built, so none of these calls validates a bisection or table again
+    g = multisection(clp(V3, "0"), clp(V3, "10"), clp(V3, "11")).element
+    v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
+    x0 = pt(V3, ("", "2"))
+    calls = []
+    for cls in (PrefixBijection, TableElement):
+        init = cls.__dict__["__init__"]
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *a, cls=cls, init=init: calls.append(cls) or init(self, *a))
+    compress(clp(V2, "0"), clp(V2, "1"))
+    doubling_witness(clp(V2, "0", "10"))
+    bisection_between(clp(V3, "0"), clp(V3, "10", "11", "2"))
+    bisection_between(V3.empty(), V3.empty())
+    multisection(clp(V3, "0"), clp(V3, "1"), clp(V3, "2"))
+    x, y1 = clp(V2, "0"), clp(V2, "00")
+    for y2, case in ((x, "a"), (clp(V2, "01"), "b"), (clp(V2, "000"), "c")):
+        assert vigor_case(x, y1, y2) == case
+        vigor_witness(x, y1, y2)
+    conjugate_family(g, 3)
+    compressibility_witness(x0, 1, g)
+    compressibility_witness(x0, 2, clp(V3, "0"), clp(V3, "1"))
+    compressibility_witness(x0, 3, clp(V3, "0"), clp(V3, "1"), clp(V3, "20"))
+    evaluate_embedding(build_v_embedding(V3, clp(V3, "0")), v)
+    assert calls == []

@@ -2,8 +2,8 @@
 
 import itertools
 
-from bht.element import TableElement
-from bht.space import Brick, Clopen, RationalPoint, SpaceSpec
+from bht.element import PrefixBijection, TableElement, canonicalize
+from bht.space import Brick, Clopen, RationalPoint, SpaceSpec, compose_cells
 
 V2 = SpaceSpec(1, (2,), 1)
 V3 = SpaceSpec(1, (3,), 1)
@@ -141,3 +141,141 @@ def merge_families_rounds(space, cells) -> list:
         else:
             break
     return sorted(cells)
+
+
+def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
+    """Reference for ``bht.vembed.evaluate_embedding``: every bisection on the
+    way, and the whole table, goes through the validating constructors."""
+    space = emb.space
+    cells = []
+    for d, r in v.cells:
+        there = PrefixBijection(space, emb.word_bisection(r.words[0]).cells)
+        back = PrefixBijection(space, [(t, s) for s, t in emb.word_bisection(d.words[0]).cells])
+        cells += PrefixBijection(space, compose_cells(there.cells, back.cells)).cells
+    cells += [(b, b) for b in emb.region.complement().bricks]
+    return canonicalize(TableElement(space, cells))
+
+
+# -- independent checker for ``embed`` witnesses -----------------------------
+#
+# Sets are point sets of word tuples (root, words): a tuple lies in a set when
+# a brick of the set is a prefix of it in every dimension.  Tuples start one
+# letter deeper than every brick of the region data, so every membership test
+# there is decided; where a map needs more letters (a cell deeper than the
+# tuple), the tuple is split into its children and each is tried again.
+
+
+class _Split(Exception):
+    """A brick meets the word tuple only in part; split it along ``dim``."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+
+def _find(bricks, t):
+    """Index of the brick holding the tuple t, or None when t misses them all."""
+    root, words = t
+    for i, b in enumerate(bricks):
+        if b.root != root:
+            continue
+        pairs = list(zip(words, b.words))
+        if not all(w[:len(bw)] == bw or bw[:len(w)] == w for w, bw in pairs):
+            continue
+        for j, (w, bw) in enumerate(pairs):
+            if len(bw) > len(w):
+                raise _Split(j)
+        return i
+    return None
+
+
+def _apply(cells, t):
+    """Image of the tuple t under the bisection ``cells``, None off its source."""
+    i = _find([d for d, _ in cells], t)
+    if i is None:
+        return None
+    d, r = cells[i]
+    return r.root, tuple(rw + w[len(dw):] for w, dw, rw in zip(t[1], d.words, r.words))
+
+
+def _words(kbar, lengths) -> list:
+    """Every tuple of words with the given lengths."""
+    return list(itertools.product(*(itertools.product(range(k), repeat=m)
+                                    for k, m in zip(kbar, lengths))))
+
+
+def _agree(space: SpaceSpec, f, g, tuples) -> bool:
+    """Whether the maps f and g on word tuples agree on every point of the tuples."""
+    todo = list(tuples)
+    while todo:
+        t = todo.pop()
+        try:
+            same = f(t) == g(t)
+        except _Split as split:
+            root, words = t
+            j = split.dim
+            todo += [(root, words[:j] + (words[j] + (a,),) + words[j + 1:])
+                     for a in range(space.kbar[j])]
+            continue
+        if not same:
+            return False
+    return True
+
+
+def _v_image(y, s0, s1, v: TableElement, t):
+    """Where the embedding of v sends the tuple t: off the region t stays; in
+    it, the binary address u of t is read letter by letter through s0 and s1
+    (outermost letter first), v moves u to u', and t is sent back down u'."""
+    if _find(y.bricks, t) is None:
+        return t
+    halves = (s0.cells, s1.cells)
+    sources = [d for d, _ in v.cells]
+    u = ()
+    while True:
+        try:
+            d, r = v.cells[_find(sources, (0, (u,)))]
+            break
+        except _Split:
+            letter = 0 if _find([r for _, r in halves[0]], t) is not None else 1
+            t = _apply([(r, d) for d, r in halves[letter]], t)
+            u += (letter,)
+    for letter in reversed(r.words[0] + u[len(d.words[0]):]):
+        t = _apply(halves[letter], t)
+    return t
+
+
+def embed_claims(blocks: dict) -> list:
+    """The claims of an ``embed`` witness, as ``bht.verify`` lists them,
+    decided on word tuples without the library's set algebra."""
+    x, y, s0, s1 = blocks["X"], blocks["Y"], blocks["s0"], blocks["s1"]
+    space = y.space
+    bricks = list(x.bricks) + list(y.bricks) + [b for s in (s0, s1) for c in s.cells for b in c]
+    depth = [1 + max([len(b.words[j]) for b in bricks], default=0) for j in range(space.n)]
+    points = [(root, words) for root in range(space.r) for words in _words(space.kbar, depth)]
+
+    def members(found):
+        return frozenset(t for t in points if found(t) is not None)
+
+    xs, ys = members(lambda t: _find(x.bricks, t)), members(lambda t: _find(y.bricks, t))
+    src0, src1 = (members(lambda t, s=s: _find([d for d, _ in s.cells], t)) for s in (s0, s1))
+    half0, half1 = (members(lambda t, s=s: _find([r for _, r in s.cells], t)) for s in (s0, s1))
+    claims = [
+        (xs <= ys, "region contains the prescribed support"),
+        # a brick holds prod_j k_j^(D_j - |w_j|) tuples, 1 mod g as each k_j is
+        (len(ys) % space.g == 0, "region has class zero"),
+        (src0 == ys and src1 == ys, "halving maps start from the region"),
+        (not half0 & half1, "halves disjoint"),
+        (half0 | half1 == ys, "halves partition the region"),
+    ]
+    if "velement" in blocks:
+        img, v = blocks["image"], blocks["velement"]
+        matches = all(ok for ok, _ in claims) and _agree(
+            space, lambda t: _apply(img.cells, t), lambda t: _v_image(y, s0, s1, v, t), points)
+        claims.append((matches, "image matches the evaluated element"))
+        # every tuple under a moving cell, extended to at least the depth
+        inside = all(
+            _find(y.bricks, (d.root, tuple(w + e for w, e in zip(d.words, ext)))) is not None
+            for d, r in img.cells if d != r
+            for ext in _words(space.kbar, [max(0, m - len(w)) for m, w in zip(depth, d.words)])
+        )
+        claims.append((inside, "image supported in the region"))
+    return claims
