@@ -92,11 +92,11 @@ class PrefixBijection:
 
     @property
     def source(self) -> Clopen:
-        return Clopen(self.space, [d for d, _ in self.cells])
+        return Clopen._wrap(self.space, [d for d, _ in self.cells])
 
     @property
     def image(self) -> Clopen:
-        return Clopen(self.space, [r for _, r in self.cells])
+        return Clopen._wrap(self.space, [r for _, r in self.cells])
 
     @classmethod
     def _wrap(cls, space: SpaceSpec, cells: list[Cell]):
@@ -139,7 +139,7 @@ def identity(space: SpaceSpec) -> TableElement:
 def extend_by_identity(space: SpaceSpec, cells: list[Cell]) -> TableElement:
     """Canonical table acting by ``cells`` (a bisection of a clopen onto
     itself) and as the identity off its source."""
-    rest = Clopen(space, [d for d, _ in cells]).complement()
+    rest = Clopen._wrap(space, [d for d, _ in cells]).complement()
     return TableElement._wrap(space, merge_families(space, cells + [(x, x) for x in rest.bricks]))
 
 
@@ -206,7 +206,7 @@ def image_clopen(g: PrefixBijection, x: Clopen) -> Clopen:
     """Image of the part of x inside the source of g."""
     g.space.check_same(x.space)
     cells = compose_cells(g.cells, [(b, b) for b in x.bricks])
-    return Clopen(x.space, [r for _, r in cells])
+    return Clopen._wrap(x.space, [r for _, r in cells])
 
 
 def closed_support(g: TableElement) -> Clopen:
@@ -216,7 +216,7 @@ def closed_support(g: TableElement) -> Clopen:
     :func:`is_identity`), so on any cell partition the closure is exactly the
     union of the source cylinders of the non-identity cells.
     """
-    return Clopen(g.space, [d for d, r in g.cells if d != r])
+    return Clopen._wrap(g.space, [d for d, r in g.cells if d != r])
 
 
 def order(g: TableElement, bound: int):

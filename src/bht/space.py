@@ -12,13 +12,27 @@ Canonical form: the brick list is rebuilt as a dimension-major decision tree
 dimension first), and then complete sibling families are merged by
 :func:`merge_families`, the kernel that also normalises prefix-exchange
 tables in :mod:`bht.element` (a brick is passed as the cell ``(b, b)``).  The
-kernel is a worklist: it buckets the cells by family once, per dimension,
-and each merge touches only the buckets of the cells it removes and adds.
-In one dimension the tree has already merged every complete family, so the
-merge is skipped there.  The decision-tree stage depends only on the point
-set, never on the representation handed in, which makes the final form
-unique.  Bricks are finally sorted by root, then dimension-major with
-prefixes first.
+tree is built per branching node, not per letter: each node sorts its boxes
+into its children in one pass, reading the letter at its depth from the
+whole word; a node holding one box and nothing that covers it is that box
+(path compression); a node that a covering box fills is constant at once;
+and the sections of each covering set are computed once per call.  The
+merge kernel is a worklist: it buckets the cells by family once, per
+dimension, and each merge touches only the buckets of the cells it removes
+and adds.  In one dimension the tree has already merged every complete
+family, and a lone brick is in none, so the merge is skipped there.  The
+decision-tree stage depends only on the point set, never on the
+representation handed in, which makes the final form unique.  Bricks are
+finally sorted by root, then dimension-major with prefixes first.
+
+The meet of brick lists goes through :class:`BrickIndex`, a per-dimension
+prefix trie whose levels also keep their distinct word lengths, so a query
+looks a prefix of its word up only at a length some indexed word has.
+
+``Clopen(...)`` checks its bricks against the space, for bricks from
+outside; clopens derived from checked objects (set operations, the full
+set, sources, images and supports of bisections) are built by
+``Clopen._wrap``, which canonicalizes without checking.
 
 All values here are immutable after construction and every operation is a
 pure function, so they can be shared freely between workers.
@@ -77,7 +91,7 @@ class SpaceSpec:
 
     @cached_property
     def _full(self) -> "Clopen":
-        return Clopen(self, [self.root_brick(i) for i in range(self.r)])
+        return Clopen._wrap(self, [self.root_brick(i) for i in range(self.r)])
 
     def empty(self) -> "Clopen":
         return Clopen(self, [])
@@ -196,41 +210,77 @@ def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) ->
     exactly where the union fails to be constant on a subtree, and the
     sections below are handled recursively.  The output depends only on the
     union of the boxes, not on the boxes themselves.
+
+    A node of the tree at depth d holds the boxes whose dim-th word is longer
+    than d, bucketed by their letter at d in one pass over the whole words,
+    and the higher-dimension rests of the boxes that cover it.  A node with
+    one box and no cover is that box (a single box is already canonical), a
+    node with an all-empty rest among its covers is full, and the sections
+    of each covering set are computed once per call.
     """
-    if not boxes:
-        return []
-    if dim == space.n:
-        return [()]
-    k = space.kbar[dim]
+    n, kbar = space.n, space.kbar
+    memo: dict[tuple[int, frozenset], list[tuple[Word, ...]]] = {}
 
-    def node(items):
-        at = [rest for w, rest in items if not w]
-        deeper = [(w, rest) for w, rest in items if w]
-        if not deeper:
-            return (True, _section_words(space, dim + 1, at))
-        kids = []
-        for a in range(k):
-            child = [(w[1:], rest) for w, rest in deeper if w[0] == a]
-            child += [((), rest) for rest in at]
-            kids.append(node(child))
-        first = kids[0]
-        if all(kid[0] and kid[1] == first[1] for kid in kids):
-            return first
-        return (False, kids)
+    def sections(dim: int, boxes: frozenset) -> list[tuple[Word, ...]]:
+        if len(boxes) <= 1:
+            return list(boxes)
+        full = ((),) * (n - dim)
+        if full in boxes:
+            return [full]
+        got = memo.get((dim, boxes))
+        if got is not None:
+            return got
+        k = kbar[dim]
+        filled = (True, [full[1:]])
 
-    out: list[tuple[Word, ...]] = []
+        def node(depth: int, deeper: list, covers: frozenset):
+            # (True, sections below) when constant on the node, (None, box)
+            # for a lone box, else (False, one result per letter)
+            if not deeper:
+                return (True, sections(dim + 1, covers))
+            if not covers and len(deeper) == 1:
+                return (None, deeper[0])
+            buckets: list[list] = [[] for _ in range(k)]
+            for b in deeper:
+                buckets[b[0][depth]].append(b)
+            kids = []
+            bare = None
+            for bucket in buckets:
+                if not bucket:
+                    if bare is None:
+                        bare = (True, sections(dim + 1, covers))
+                    kids.append(bare)
+                    continue
+                ends = [b[1:] for b in bucket if len(b[0]) == depth + 1]
+                if not ends:
+                    kids.append(node(depth + 1, bucket, covers))
+                elif full[1:] in ends:
+                    kids.append(filled)
+                else:
+                    kids.append(node(depth + 1, [b for b in bucket if len(b[0]) > depth + 1],
+                                     covers.union(ends)))
+            first = kids[0]
+            if first[0] and all(kid[0] and kid[1] == first[1] for kid in kids):
+                return first
+            return (False, kids)
 
-    def flatten(u, res):
-        const, payload = res
-        if const:
-            for rest in payload:
-                out.append((u,) + rest)
-        else:
-            for a, kid in enumerate(payload):
-                flatten(u + (a,), kid)
+        out: list[tuple[Word, ...]] = []
 
-    flatten((), node([(words[0], words[1:]) for words in boxes]))
-    return out
+        def flatten(u: Word, res):
+            const, payload = res
+            if const is None:
+                out.append(payload)
+            elif const:
+                out.extend((u,) + rest for rest in payload)
+            else:
+                for a, kid in enumerate(payload):
+                    flatten(u + (a,), kid)
+
+        flatten((), node(0, [b for b in boxes if b[0]], frozenset(b[1:] for b in boxes if not b[0])))
+        memo[(dim, boxes)] = out
+        return out
+
+    return sections(dim, frozenset(boxes))
 
 
 def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
@@ -315,8 +365,9 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
         for root, boxes in by_root.items()
         for words in _section_words(space, 0, boxes)
     ]
-    if space.n == 1:
-        # the one-dimensional section tree has merged every complete family
+    if space.n == 1 or len(sectioned) < 2:
+        # the one-dimensional section tree has merged every complete family,
+        # and a lone brick is in no family
         return tuple(sorted(sectioned))
     return tuple(b for b, _ in merge_families(space, ((b, b) for b in sectioned)))
 
@@ -324,12 +375,13 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
 _PAST = (math.inf,)
 
 
-def _index_level(node: dict, below: int) -> tuple[dict, list, list]:
-    """A trie node as (children, keys in order, children in key order)."""
+def _index_level(node: dict, below: int) -> tuple[dict, list, list, list]:
+    """A trie node as (children, keys in order, children in key order,
+    distinct key lengths in order)."""
     if below:
         node = {w: _index_level(child, below - 1) for w, child in node.items()}
     keys = sorted(node)
-    return node, keys, [node[w] for w in keys]
+    return node, keys, [node[w] for w in keys], sorted({len(w) for w in keys})
 
 
 class BrickIndex:
@@ -338,9 +390,10 @@ class BrickIndex:
     Two bricks meet exactly when they share a root and, in every dimension,
     one word is a prefix of the other.  The bricks are grouped by root and
     then by word, one dimension per level; each level keeps a dict from word
-    to the next level and its keys and values in key order.  A query finds
-    the prefixes of its word by dict lookups and the extensions by a bisect
-    range, so it visits only branches that really meet.
+    to the next level, its keys and values in key order and the distinct key
+    lengths.  A query finds the prefixes of its word by dict lookups at those
+    lengths only and the extensions by a bisect range, so it visits only
+    branches that really meet.
     """
 
     __slots__ = ("_roots",)
@@ -361,10 +414,13 @@ class BrickIndex:
         level = self._roots.get(b.root)
         found = [level] if level else []
         for w in b.words:
+            m = len(w)
             hits: list = []
-            for children, keys, values in found:
-                # the proper prefixes of w, looked up one by one
-                for i in range(len(w)):
+            for children, keys, values, lengths in found:
+                # the proper prefixes of w, at the lengths the level has
+                for i in lengths:
+                    if i >= m:
+                        break
                     child = children.get(w[:i])
                     if child is not None:
                         hits.append(child)
@@ -401,9 +457,10 @@ def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[
 class Clopen:
     """Finite union of bricks over a fixed space, stored canonically.
 
-    The constructor accepts any iterable of bricks (overlaps allowed) and
-    canonicalizes.  Instances are immutable; equality and hashing are
-    syntactic on the canonical form, hence semantic on point sets.
+    The constructor accepts any iterable of bricks (overlaps allowed),
+    checks them against the space and canonicalizes.  Instances are
+    immutable; equality and hashing are syntactic on the canonical form,
+    hence semantic on point sets.
     """
 
     __slots__ = ("space", "bricks")
@@ -414,6 +471,14 @@ class Clopen:
             b.validate(space)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "bricks", canonical_bricks(space, bricks))
+
+    @classmethod
+    def _wrap(cls, space: SpaceSpec, bricks: Iterable[Brick]) -> "Clopen":
+        """Canonical clopen of bricks derived from validated objects, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "bricks", canonical_bricks(space, bricks))
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("Clopen is immutable")
@@ -442,19 +507,19 @@ class Clopen:
 
     def union(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
-        return Clopen(self.space, list(self.bricks) + list(other.bricks))
+        return Clopen._wrap(self.space, self.bricks + other.bricks)
 
     def intersect(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
         meets = compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks])
-        return Clopen(self.space, [d for d, _ in meets])
+        return Clopen._wrap(self.space, [d for d, _ in meets])
 
     def difference(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
         pieces = list(self.bricks)
         for c in other.bricks:
             pieces = [q for p in pieces for q in brick_subtract(self.space, p, c)]
-        return Clopen(self.space, pieces)
+        return Clopen._wrap(self.space, pieces)
 
     def complement(self) -> "Clopen":
         return self.space.full().difference(self)

@@ -9,6 +9,9 @@ those cells around, identity off Y.
 The conditions on (Y, s0, s1) live in :func:`embedding_checks`, for both
 :class:`VEmbedding` and the verifier; what is built from a checked
 embedding is wrapped, not validated again (see :mod:`bht.element`).
+:func:`build_v_embedding`, whose parts pass by construction, and the
+verifier, once its own run of the checks has passed, build the embedding
+with ``VEmbedding._wrap``.
 """
 
 import random
@@ -60,6 +63,16 @@ class VEmbedding:
         for ok, what in embedding_checks(region, s0, s1):
             if not ok:
                 raise DomainError("not an embedding: fails '%s'" % what)
+        self._fill(space, region, s0, s1)
+
+    @classmethod
+    def _wrap(cls, space: SpaceSpec, region: Clopen, s0: PrefixBijection, s1: PrefixBijection):
+        """Build from parts known to pass :func:`embedding_checks`, unchecked."""
+        obj = object.__new__(cls)
+        obj._fill(space, region, s0, s1)
+        return obj
+
+    def _fill(self, space, region, s0, s1):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "s0", s0)
@@ -90,7 +103,7 @@ class VEmbedding:
         bricks = []
         for b in binary_set.bricks:
             bricks.extend(self.cell(b.words[0]).bricks)
-        return Clopen(self.space, bricks)
+        return Clopen._wrap(self.space, bricks)
 
 
 def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
@@ -119,7 +132,7 @@ def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
     parts = _split_brick_list(space, y.bricks, [0] * -(-short // (space.kbar[0] - 1)))
     y0 = Clopen(space, parts[: space.g])
     y1 = Clopen(space, parts[space.g:])
-    return VEmbedding(space, y, bisection_between(y, y0), bisection_between(y, y1))
+    return VEmbedding._wrap(space, y, bisection_between(y, y0), bisection_between(y, y1))
 
 
 def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:

@@ -219,9 +219,10 @@ def _check_embed(w: Witness) -> list[Check]:
     if "velement" in w.blocks:
         img = _need(w, "image", TableElement)
         v = _need(w, "velement", TableElement, binary_space())
-        # the embedding exists only when the region checks above pass
+        # the embedding exists only when the region checks above pass, and
+        # then it is built without running them again
         matches = all(ok for ok, _ in checks) and equals(
-            img, evaluate_embedding(VEmbedding(y.space, y, s0, s1), v))
+            img, evaluate_embedding(VEmbedding._wrap(y.space, y, s0, s1), v))
         checks.append((matches, "image matches the evaluated element"))
         checks.append((closed_support(img).issubset(y), "image supported in the region"))
     return checks

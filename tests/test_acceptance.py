@@ -8,8 +8,6 @@ import math
 import random
 import time
 
-import pytest
-
 from bht.abelian import AbelianGroup, CharacterFamily, abelianization, homology, is_perfect, proper_characters
 from bht.element import (
     TableElement,
@@ -17,7 +15,6 @@ from bht.element import (
     closed_support,
     compose,
     equals,
-    identity,
     image_clopen,
     invert,
     is_identity,
@@ -27,7 +24,6 @@ from bht.sampling import (
     random_clopen,
     random_element,
     random_partition,
-    random_point,
 )
 from bht.space import Clopen, SpaceSpec, h0_class, point_in, subdivide
 from bht.vembed import binary_space, build_v_embedding, evaluate_embedding, image_vigor_check

@@ -20,11 +20,13 @@ from bht.element import (
     is_identity,
     order,
 )
+from bht.cli import main
 from bht.errors import DomainError, SpaceMismatchError
-from bht.sampling import random_element, random_permutation_element
+from bht.sampling import random_clopen, random_element, random_permutation_element
 from bht.space import Brick, Clopen, SpaceSpec, compose_cells
+from bht.textio import format_clopen
 from util import (
-    B, V2, V3, V23, V2x2, W, clp, compose_cells_all_pairs, oracle_agree, oracle_image, pt, refine,
+    B, V2, V3, V23, V2x2, clp, compose_cells_all_pairs, oracle_agree, oracle_image, pt, refine,
 )
 
 SWAP = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
@@ -301,3 +303,26 @@ def test_partial_bijections():
     assert image_clopen(half, clp(V2, "01")) == clp(V2, "101")
     with pytest.raises(DomainError):
         apply_point(half, pt(V2, ("1", "1")))
+
+
+def test_derived_clopens_run_no_brick_validation(monkeypatch, capsys, tmp_path):
+    # a fresh space, so that its cached full set is built inside the count
+    space = SpaceSpec(2, (2, 3), 2)
+    rng = random.Random(47)
+    x, y = (random_clopen(space, rng, splits=5) for _ in range(2))
+    g = random_permutation_element(space, rng, splits=6)
+    calls = []
+    validate = Brick.validate
+    monkeypatch.setattr(Brick, "validate", lambda b, sp: calls.append(b) or validate(b, sp))
+    x.union(y), x.intersect(y), x.difference(y), x.complement()
+    x.issubset(y), x.isdisjoint(y)
+    image_clopen(g, x), closed_support(g), g.source, g.image
+    assert calls == []
+    # bricks from outside are still checked
+    with pytest.raises(DomainError):
+        Clopen(space, [B(0, "0", "3")])
+    bad = tmp_path / "bad.clp"
+    bad.write_text(format_clopen(x) + "root:0 0,3\n")
+    assert main(["double", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line %d: " % (len(x.bricks) + 2)), err

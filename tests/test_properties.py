@@ -21,10 +21,11 @@ from bht.sampling import (  # noqa: E402
     random_clopen, random_element, random_partition, random_permutation_element, random_point,
 )
 from bht.space import (  # noqa: E402
-    Brick, Clopen, SpaceSpec, _section_words, compose_cells, merge_families, point_in, subdivide,
+    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, merge_families, point_in,
+    subdivide,
 )
 from bht.textio import Witness, format_clopen, format_vpair, format_witness, parse_witness  # noqa: E402
-from bht.vembed import binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
+from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
 from bht.verify import run_checks  # noqa: E402
 from bht.witness import (  # noqa: E402
     bisection_between, compress, compressibility_witness, conjugate_family, doubling_witness,
@@ -32,7 +33,7 @@ from bht.witness import (  # noqa: E402
 )
 from util import (  # noqa: E402
     V2, V3, V23, V2x2, compose_cells_all_pairs, embed_claims, evaluate_embedding_validated,
-    merge_families_rounds, oracle_agree, refine,
+    merge_families_rounds, oracle_agree, refine, section_words_levels,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
@@ -207,6 +208,43 @@ def test_one_dimensional_sections_have_no_families(sb):
     assert merge_families(space, cells) == sorted(cells)
 
 
+@st.composite
+def section_boxes(draw):
+    """Word boxes with repeats and nesting; or one box; or with the box that
+    covers everything; or with the complete family of children of a box."""
+    space = draw(st.sampled_from(INDEX_SPACES))
+    boxes = [b.words for b in draw(nested_bricks(space, 8))]
+    shape = draw(st.sampled_from(["nested", "one", "full", "family"]))
+    if shape == "one":
+        boxes = boxes[:1]
+    elif shape == "full":
+        boxes.insert(draw(st.integers(0, len(boxes))), ((),) * space.n)
+    elif shape == "family":
+        j = draw(st.integers(0, space.n - 1))
+        b = Brick(0, draw(st.sampled_from(boxes)))
+        boxes += [c.words for c in subdivide(space, b, j)]
+    return space, boxes
+
+
+@SETTINGS
+@given(section_boxes())
+def test_section_words_matches_levels(sb):
+    space, boxes = sb
+    assert _section_words(space, 0, boxes) == section_words_levels(space, 0, boxes)
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES).flatmap(
+    lambda sp: st.tuples(nested_bricks(sp, 10), st.lists(bricks(sp), max_size=6))))
+def test_brick_index_meeting_matches_brute_force(sides):
+    indexed, queries = sides
+    index = BrickIndex(indexed)
+    # words of every length from 0 to 4 sit on one level, and the queries
+    # are both shorter and longer than the indexed words
+    for q in queries + indexed:
+        assert sorted(index.meeting(q)) == [i for i, b in enumerate(indexed) if not b.is_disjoint(q)]
+
+
 @SETTINGS
 @given(st.sampled_from(INDEX_SPACES).flatmap(
     lambda sp: st.tuples(st.just(sp), nested_bricks(sp, 6), nested_bricks(sp, 6))))
@@ -367,6 +405,8 @@ def test_derived_objects_pass_their_validating_constructors(space, seed):
 def test_evaluate_embedding_matches_validated_path(space, seed):
     rng = random.Random(seed)
     emb = build_v_embedding(space, random_clopen(space, rng, splits=3, nonempty=True, proper=True))
+    # built unchecked, so the checking constructor must accept its parts
+    VEmbedding(space, emb.region, emb.s0, emb.s1)
     for _ in range(3):
         v = random_element(binary_space(), rng, factors=2, splits=3)
         assert evaluate_embedding(emb, v) == evaluate_embedding_validated(emb, v)

@@ -5,7 +5,6 @@ import pytest
 from bht.errors import DomainError, SpaceMismatchError
 from bht.sampling import random_clopen, random_partition, random_point
 from bht.space import (
-    Brick,
     Clopen,
     RationalPoint,
     SpaceSpec,
@@ -14,7 +13,7 @@ from bht.space import (
     point_in,
     subdivide,
 )
-from util import B, V2, V3, V23, V2x2, W, clp, pt
+from util import B, V2, V3, V23, V2x2, clp, pt
 
 
 def test_space_validation():

@@ -5,7 +5,7 @@ import pytest
 from bht.element import PrefixBijection, TableElement, canonicalize
 from bht.errors import ParseError
 from bht.sampling import random_clopen, random_element, random_point
-from bht.space import Brick, Clopen, SpaceSpec
+from bht.space import Clopen, SpaceSpec
 from bht.textio import (
     Witness,
     format_bisection,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bht import vembed, verify
 from bht.cli import main
 from bht.element import (
     TableElement,
@@ -16,7 +17,7 @@ from bht.element import (
 from bht.errors import DomainError
 from bht.sampling import random_element
 from bht.space import Clopen, SpaceSpec, h0_class
-from bht.textio import Witness, format_witness
+from bht.textio import Witness, format_clopen, format_vpair, format_witness
 from bht.vembed import (
     VEmbedding,
     binary_space,
@@ -83,6 +84,27 @@ def test_embedding_rejects_broken_condition(case, capsys, tmp_path):
     path.write_text(format_witness(Witness("embed", blocks={"X": y, "Y": y, "s0": s0, "s1": s1})))
     assert main(["verify", str(path)]) == 1
     assert "FAIL " + BROKEN[case] in capsys.readouterr().out.splitlines()
+
+
+def test_embedding_checks_run_once_per_embed_witness(monkeypatch, capsys, tmp_path):
+    # build_v_embedding makes parts that pass the checks by construction, and
+    # the verifier builds the embedding only after its own list has passed
+    calls = []
+    checks = vembed.embedding_checks
+    for module in (vembed, verify):
+        monkeypatch.setattr(module, "embedding_checks", lambda *a: calls.append(a) or checks(*a))
+    build_v_embedding(V3, clp(V3, "0"))
+    assert len(calls) == 0
+    x, v = tmp_path / "x.clp", tmp_path / "v.vpair"
+    x.write_text(format_clopen(clp(V3, "0")))
+    v.write_text(format_vpair(vswap()))
+    assert main(["embed-v", "--space", "1,3,1", "--support", str(x), str(v)]) == 0
+    assert len(calls) == 0
+    path = tmp_path / "e.txt"
+    path.write_text(capsys.readouterr().out)
+    assert main(["verify", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_build_rejects_full_or_empty():

@@ -143,6 +143,49 @@ def merge_families_rounds(space, cells) -> list:
     return sorted(cells)
 
 
+def section_words_levels(space, dim, boxes) -> list:
+    """Reference for ``bht.space._section_words``: one trie level per letter.
+
+    Each node strips the first letter off every word below it, in one pass
+    per letter, and pushes the covering boxes into every child; the tree is
+    split where the union of the boxes is not constant on a subtree.
+    """
+    if not boxes:
+        return []
+    if dim == space.n:
+        return [()]
+    k = space.kbar[dim]
+
+    def node(items):
+        at = [rest for w, rest in items if not w]
+        deeper = [(w, rest) for w, rest in items if w]
+        if not deeper:
+            return (True, section_words_levels(space, dim + 1, at))
+        kids = []
+        for a in range(k):
+            child = [(w[1:], rest) for w, rest in deeper if w[0] == a]
+            child += [((), rest) for rest in at]
+            kids.append(node(child))
+        first = kids[0]
+        if all(kid[0] and kid[1] == first[1] for kid in kids):
+            return first
+        return (False, kids)
+
+    out = []
+
+    def flatten(u, res):
+        const, payload = res
+        if const:
+            for rest in payload:
+                out.append((u,) + rest)
+        else:
+            for a, kid in enumerate(payload):
+                flatten(u + (a,), kid)
+
+    flatten((), node([(words[0], words[1:]) for words in boxes]))
+    return out
+
+
 def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
     """Reference for ``bht.vembed.evaluate_embedding``: every bisection on the
     way, and the whole table, goes through the validating constructors."""
