@@ -8,6 +8,7 @@ import random
 
 from .element import TableElement, compose, identity
 from .space import Brick, Clopen, RationalPoint, SpaceSpec, subdivide
+from .witness import multisection
 
 
 def random_partition(space: SpaceSpec, rng: random.Random, splits: int = 3) -> list[Brick]:
@@ -57,8 +58,6 @@ def random_permutation_element(space: SpaceSpec, rng: random.Random, splits: int
 
 def random_multisection_element(space: SpaceSpec, rng: random.Random, splits: int = 4) -> TableElement:
     """Random order-3 element cycling three disjoint partition bricks."""
-    from .witness import multisection
-
     while True:
         parts = random_partition(space, rng, max(splits, 2))
         if len(parts) >= 3:

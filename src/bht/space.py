@@ -29,9 +29,11 @@ The meet of brick lists goes through :class:`BrickIndex`, a per-dimension
 prefix trie whose levels also keep their distinct word lengths, so a query
 looks a prefix of its word up only at a length some indexed word has.
 
-``Clopen(...)`` checks its bricks against the space, for bricks from
-outside; clopens derived from checked objects (set operations, the full
-set, sources, images and supports of bisections) are built by
+``Clopen(...)`` checks its bricks against the space and runs only on bricks
+from outside (``sampling`` and library callers).  Every clopen derived from
+checked objects (set operations, the empty and full sets, sources, images and
+supports of bisections, the pieces the witness and embedding constructors cut,
+and a parsed file, whose bricks the reader checks line by line) is built by
 ``Clopen._wrap``, which canonicalizes without checking.
 
 All values here are immutable after construction and every operation is a
@@ -94,7 +96,7 @@ class SpaceSpec:
         return Clopen._wrap(self, [self.root_brick(i) for i in range(self.r)])
 
     def empty(self) -> "Clopen":
-        return Clopen(self, [])
+        return Clopen._wrap(self, [])
 
     def __str__(self):
         return "space n=%d k=%s r=%d" % (
@@ -102,6 +104,14 @@ class SpaceSpec:
             ",".join(str(k) for k in self.kbar),
             self.r,
         )
+
+
+_BINARY = SpaceSpec(1, (2,), 1)
+
+
+def binary_space() -> SpaceSpec:
+    """The space whose table elements are exactly Thompson's group V."""
+    return _BINARY
 
 
 class Brick(NamedTuple):

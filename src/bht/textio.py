@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 from .element import PrefixBijection, TableElement
 from .errors import DomainError, ParseError
-from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word
-from .vembed import binary_space
+from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word, binary_space
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _HEADERS = {"space": Clopen, "table": TableElement, "bisection": PrefixBijection,
@@ -155,7 +154,8 @@ def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
                 raise ParseError("expected '<dom> -> <ran>'", no)
             items.append((side(dom.strip(), no), side(ran.strip(), no)))
     try:
-        return kind(space, items)
+        # clopen bricks were checked one by one above, to name their lines
+        return (Clopen._wrap if kind is Clopen else kind)(space, items)
     except DomainError as err:
         raise ParseError(str(err), lineno) from None
 
@@ -208,7 +208,7 @@ def parse_point(text: str, space: SpaceSpec) -> RationalPoint:
         coords.append((parse_word(pre_text or "e"), parse_word(per_text)))
     try:
         return RationalPoint(space, root, coords)
-    except Exception as err:
+    except DomainError as err:
         raise ParseError(str(err)) from None
 
 

@@ -27,15 +27,8 @@ from .element import (
 )
 from .errors import DomainError
 from .sampling import random_clopen
-from .space import Clopen, SpaceSpec, Word, compose_cells, h0_class, subdivide
+from .space import Clopen, SpaceSpec, Word, binary_space, compose_cells, h0_class, subdivide
 from .witness import _split_brick_list, bisection_between, vigor_case, vigor_witness
-
-_BINARY = SpaceSpec(1, (2,), 1)
-
-
-def binary_space() -> SpaceSpec:
-    """The space whose table elements are exactly Thompson's group V."""
-    return _BINARY
 
 
 def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -> list[tuple[bool, str]]:
@@ -99,7 +92,7 @@ class VEmbedding:
 
     def transport(self, binary_set: Clopen) -> Clopen:
         """The union of the cells named by a clopen of the binary space."""
-        binary_set.space.check_same(_BINARY)
+        binary_set.space.check_same(binary_space())
         bricks = []
         for b in binary_set.bricks:
             bricks.extend(self.cell(b.words[0]).bricks)
@@ -125,20 +118,20 @@ def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
             piece = subdivide(space, avail.bricks[0], 0)[0]
         else:
             piece = avail.bricks[0]
-        y = y.union(Clopen(space, [piece]))
-        avail = avail.difference(Clopen(space, [piece]))
+        y = y.union(Clopen._wrap(space, [piece]))
+        avail = avail.difference(Clopen._wrap(space, [piece]))
     # each dimension-0 split adds k_0 - 1 bricks; make at least 2g of them
     short = max(2 * space.g, 2) - len(y.bricks)
     parts = _split_brick_list(space, y.bricks, [0] * -(-short // (space.kbar[0] - 1)))
-    y0 = Clopen(space, parts[: space.g])
-    y1 = Clopen(space, parts[space.g:])
+    y0 = Clopen._wrap(space, parts[: space.g])
+    y1 = Clopen._wrap(space, parts[space.g:])
     return VEmbedding._wrap(space, y, bisection_between(y, y0), bisection_between(y, y1))
 
 
 def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
     """Image of a V element: on each source cell of v the composite
     s_target o s_source^-1, identity off the region."""
-    v.space.check_same(_BINARY)
+    v.space.check_same(binary_space())
     cells = []
     for d, r in v.cells:
         back = [(t, s) for s, t in emb.word_bisection(d.words[0]).cells]
@@ -171,9 +164,9 @@ def image_vigor_check(emb: VEmbedding, trials: int, depth: int, seed: int = 0) -
     failures = []
     done = 0
     while done < trials:
-        xb = random_clopen(_BINARY, rng, splits=depth, nonempty=True, proper=True)
-        y1b = random_clopen(_BINARY, rng, splits=depth).intersect(xb)
-        y2b = random_clopen(_BINARY, rng, splits=depth, nonempty=True).intersect(xb)
+        xb = random_clopen(binary_space(), rng, splits=depth, nonempty=True, proper=True)
+        y1b = random_clopen(binary_space(), rng, splits=depth).intersect(xb)
+        y2b = random_clopen(binary_space(), rng, splits=depth, nonempty=True).intersect(xb)
         if y2b.is_empty():
             continue
         if vigor_case(xb, y1b, y2b) == "c" and y1b == xb:

@@ -16,9 +16,9 @@ from .element import (
     order,
 )
 from .errors import ParseError
-from .space import Clopen, RationalPoint, SpaceSpec, point_in
+from .space import Clopen, RationalPoint, SpaceSpec, binary_space, point_in
 from .textio import Witness, parse_point
-from .vembed import VEmbedding, binary_space, embedding_checks, evaluate_embedding
+from .vembed import VEmbedding, embedding_checks, evaluate_embedding
 from .witness import vigor_case
 
 Check = tuple[bool, str]

@@ -4,8 +4,10 @@ elements, conjugate families, and compressibility data.
 All constructors are deterministic: whenever a brick has to be split, the
 first brick in canonical order is split along dimension 0 (the class-matching
 bisection additionally splits along other dimensions when the counts require
-it).  Each function returns objects whose stated postconditions can be
-re-checked independently with the set algebra and the point action.
+it).  The inputs were checked where they entered (the text reader,
+``sampling`` or a library caller's constructor), so every clopen, bisection
+and table built here is cut from checked objects and built with ``_wrap``,
+unchecked; ``bht.verify`` re-checks the stated postconditions.
 """
 
 from dataclasses import dataclass
@@ -61,8 +63,8 @@ def doubling_witness(x: Clopen) -> tuple[PrefixBijection, PrefixBijection]:
     if x.is_empty():
         raise DomainError("doubling needs a nonempty clopen")
     children = subdivide(x.space, x.bricks[0], 0)
-    left = Clopen(x.space, [children[0]])
-    right = Clopen(x.space, [children[1]])
+    left = Clopen._wrap(x.space, [children[0]])
+    right = Clopen._wrap(x.space, [children[1]])
     return compress(x, left), compress(x, right)
 
 
@@ -170,9 +172,9 @@ def vigor_case(x: Clopen, y1: Clopen, y2: Clopen) -> str:
 
 def _split_nonempty(z: Clopen) -> tuple[Clopen, Clopen]:
     if len(z.bricks) >= 2:
-        return Clopen(z.space, z.bricks[:1]), Clopen(z.space, z.bricks[1:])
+        return Clopen._wrap(z.space, z.bricks[:1]), Clopen._wrap(z.space, z.bricks[1:])
     children = subdivide(z.space, z.bricks[0], 0)
-    return Clopen(z.space, children[:1]), Clopen(z.space, children[1:])
+    return Clopen._wrap(z.space, children[:1]), Clopen._wrap(z.space, children[1:])
 
 
 def _vigor_cycle(y1: Clopen, y2: Clopen) -> TableElement:
@@ -211,7 +213,7 @@ def vigor_witness(x: Clopen, y1: Clopen, y2: Clopen) -> TableElement:
         raise UnsatisfiableError(
             "no element supported in x can move all of x strictly into itself"
         )
-    w = Clopen(x.space, x.difference(y1).bricks[:1])
+    w = Clopen._wrap(x.space, x.difference(y1).bricks[:1])
     g1 = _vigor_cycle(y1, w)
     g2 = _vigor_cycle(image_clopen(g1, y1), y2)
     return compose(g2, g1)
@@ -252,7 +254,7 @@ def conjugate_family(g: TableElement, count: int) -> ConjugateFamily:
         avoid = longer[len(shorter)]
         seed = d.child(j, (avoid + 1) % space.kbar[j])
     # one extra split guarantees y1 and g(y1) leave room for the targets
-    y1 = Clopen(space, [seed.child(0, 0)])
+    y1 = Clopen._wrap(space, [seed.child(0, 0)])
     img = image_clopen(gc, y1)
     if not img.isdisjoint(y1):
         raise AssertionError("extracted brick is not moved off itself")
@@ -260,7 +262,7 @@ def conjugate_family(g: TableElement, count: int) -> ConjugateFamily:
     pieces = [room.bricks[0]]
     while len(pieces) < count:
         pieces = subdivide(space, pieces[0], 0) + pieces[1:]
-    targets = tuple(Clopen(space, [p]) for p in pieces[:count])
+    targets = tuple(Clopen._wrap(space, [p]) for p in pieces[:count])
     outside = y1.complement()
     conjugators = []
     conjugates = []
@@ -271,14 +273,10 @@ def conjugate_family(g: TableElement, count: int) -> ConjugateFamily:
     return ConjugateFamily(gc, y1, img, targets, tuple(conjugators), tuple(conjugates))
 
 
-def distinct_conjugates(g: TableElement, count: int) -> list[TableElement]:
-    return list(conjugate_family(g, count).conjugates)
-
-
 def brick_neighborhood(p: RationalPoint, depth: int) -> Clopen:
     """The depth-``depth`` brick around an ultimately periodic point."""
     words = tuple(p.prefix(j, depth) for j in range(p.space.n))
-    return Clopen(p.space, [Brick(p.root, words)])
+    return Clopen._wrap(p.space, [Brick(p.root, words)])
 
 
 def avoiding_neighborhood(p: RationalPoint, *avoid: Clopen) -> Clopen:

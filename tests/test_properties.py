@@ -21,8 +21,8 @@ from bht.sampling import (  # noqa: E402
     random_clopen, random_element, random_partition, random_permutation_element, random_point,
 )
 from bht.space import (  # noqa: E402
-    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, merge_families, point_in,
-    subdivide,
+    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, h0_class, merge_families,
+    point_in, subdivide,
 )
 from bht.textio import Witness, format_clopen, format_vpair, format_witness, parse_witness  # noqa: E402
 from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
@@ -33,7 +33,7 @@ from bht.witness import (  # noqa: E402
 )
 from util import (  # noqa: E402
     V2, V3, V23, V2x2, compose_cells_all_pairs, embed_claims, evaluate_embedding_validated,
-    merge_families_rounds, oracle_agree, refine, section_words_levels,
+    merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
@@ -355,7 +355,7 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def derived_objects(space, rng) -> list:
-    """Bisections and tables the library derives from validated inputs."""
+    """Bisections, tables and clopens the library derives from validated inputs."""
     f, g = elements(space, rng, 2)
     x = random_clopen(space, rng, splits=3, nonempty=True, proper=True)
     y = random_clopen(space, rng, splits=3, nonempty=True)
@@ -375,11 +375,14 @@ def derived_objects(space, rng) -> list:
     for case, y2 in y2s.items():
         assert vigor_case(x, y1, y2) == case
         out.append(vigor_witness(x, y1, y2))
+    clopens = [space.empty()]
     if not is_identity(f):
         family = conjugate_family(f, 2)
         out += [family.base, *family.conjugators, *family.conjugates]
+        clopens += [family.moved, family.image, *family.targets]
     x0 = random_point(space, rng)
     away = compressibility_witness(x0, 1, identity(space))
+    clopens.append(away)
     u1, u3 = (random_clopen(space, rng, splits=3).intersect(away) for _ in range(2))
     u2 = random_clopen(space, rng, splits=3, nonempty=True).intersect(away)
     if not u2.is_empty():
@@ -388,16 +391,20 @@ def derived_objects(space, rng) -> list:
     emb = build_v_embedding(space, x)
     out += [emb.s0, emb.s1, emb.word_bisection(()), emb.word_bisection((1, 0, 1))]
     out.append(evaluate_embedding(emb, random_element(binary_space(), rng, factors=2, splits=3)))
-    return out
+    clopens += [emb.region] + [b.source for b in out] + [b.image for b in out]
+    return out + clopens
 
 
 @SETTINGS
 @given(st.sampled_from(INDEX_SPACES), SEEDS)
 def test_derived_objects_pass_their_validating_constructors(space, seed):
-    # they are wrapped without checks, so check them here: cells in range,
-    # sources and targets disjoint, tables covering, and sorted as built
+    # they are wrapped without checks, so check them here: cells and bricks
+    # in range, sources and targets disjoint, tables covering, and canonical
     for obj in derived_objects(space, random.Random(seed)):
-        assert type(obj)(space, obj.cells).cells == obj.cells
+        if isinstance(obj, Clopen):
+            assert Clopen(space, obj.bricks) == obj
+        else:
+            assert type(obj)(space, obj.cells).cells == obj.cells
 
 
 @SETTINGS
@@ -444,3 +451,56 @@ def test_verify_embed_agrees_with_independent_checker(tmp_path_factory, space, s
     genuine = mutation is None or (
         mutation == "other image" and equals(w.blocks["image"], evaluate_embedding(emb, v)))
     assert all(ok for ok, _ in claims) == genuine
+
+
+def set_witness(kind, space, rng) -> dict:
+    """The blocks of a ``compress``, ``double`` or ``between`` witness of random inputs."""
+    x = random_clopen(space, rng, splits=2, nonempty=True, proper=True)
+    if kind == "double":
+        b1, b2 = doubling_witness(x)
+        return {"X": x, "output1": b1, "output2": b2}
+    b = random_clopen(space, rng, splits=2, nonempty=True, proper=True)
+    if kind == "compress":
+        return {"A": x, "B": b, "output": compress(x, b)}
+    while h0_class(b) != h0_class(x):
+        b = random_clopen(space, rng, splits=2, nonempty=True, proper=True)
+    return {"A": x, "B": b, "output": bisection_between(x, b)}
+
+
+def siblings(space, b):
+    """The bricks that differ from b only in the last letter of one word."""
+    return [Brick(b.root, b.words[:j] + (w[:-1] + (a,),) + b.words[j + 1:])
+            for j, w in enumerate(b.words) if w
+            for a in range(space.kbar[j]) if a != w[-1]]
+
+
+def mutate_set_witness(space, blocks, mutation, rng):
+    name = rng.choice([n for n in blocks if n.startswith("output")])
+    cells = list(blocks[name].cells)
+    targets = [r for _, r in cells]
+    swaps = [(i, s) for i, (_, r) in enumerate(cells) for s in siblings(space, r)
+             if all(s.is_disjoint(t) for t in targets)]
+    if mutation == "grow B":
+        big = "X" if "X" in blocks else "B"
+        blocks[big] = blocks[big].union(Clopen(space, blocks[big].complement().bricks[:1]))
+    elif mutation == "swap a target" and swaps:
+        i, s = rng.choice(swaps)
+        blocks[name] = PrefixBijection(space, cells[:i] + [(cells[i][0], s)] + cells[i + 1:])
+    elif mutation is not None:
+        # drop a cell; also when no sibling of a target misses the other targets
+        del cells[rng.randrange(len(cells))]
+        blocks[name] = PrefixBijection(space, cells)
+
+
+@pytest.mark.parametrize("kind", ["compress", "double", "between"])
+@SETTINGS
+@given(st.sampled_from(EMBED_SPACES), SEEDS,
+       st.sampled_from([None, None, None, "drop a cell", "swap a target", "grow B"]))
+def test_verify_set_kinds_agree_with_independent_checker(kind, space, seed, mutation):
+    rng = random.Random(seed)
+    blocks = set_witness(kind, space, rng)
+    mutate_set_witness(space, blocks, mutation, rng)
+    w = parse_witness(format_witness(Witness(kind, blocks=blocks)))
+    claims = set_claims(kind, w.blocks)
+    assert run_checks(w) == claims
+    assert mutation is not None or all(ok for ok, _ in claims)

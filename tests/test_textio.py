@@ -5,7 +5,7 @@ import pytest
 from bht.element import PrefixBijection, TableElement, canonicalize
 from bht.errors import ParseError
 from bht.sampling import random_clopen, random_element, random_point
-from bht.space import Clopen, SpaceSpec
+from bht.space import Brick, Clopen, SpaceSpec
 from bht.textio import (
     Witness,
     format_bisection,
@@ -37,6 +37,22 @@ def test_clopen_round_trip_random():
         space = rng.choice([V2, V3, V23, SpaceSpec(1, (2,), 3)])
         x = random_clopen(space, rng, splits=3)
         assert parse(format_clopen(x), Clopen) == x
+
+
+def test_clopen_file_checks_each_brick_once(monkeypatch):
+    space = SpaceSpec(2, (2, 3), 2)
+    x = random_clopen(space, random.Random(53), splits=8, nonempty=True)
+    lines = format_clopen(x).splitlines()
+    calls = []
+    validate = Brick.validate
+    monkeypatch.setattr(Brick, "validate", lambda b, sp: calls.append(b) or validate(b, sp))
+    assert parse(format_clopen(x), Clopen) == x
+    assert calls == list(x.bricks)
+    # a bad letter on brick line k still names line k
+    for k in range(2, len(lines) + 1):
+        bad = lines[:k - 1] + ["root:0 0,3"] + lines[k:]
+        with pytest.raises(ParseError, match="^line %d: letter out of range in dimension 1$" % k):
+            parse("\n".join(bad) + "\n", Clopen)
 
 
 def test_table_round_trip():

@@ -17,8 +17,10 @@ from bht.element import (
 )
 from bht.errors import ClassMismatchError, DomainError, UnsatisfiableError
 from bht.sampling import random_clopen, random_element, random_point
-from bht.space import Clopen, SpaceSpec, h0_class, point_in, subdivide
+from bht.space import Brick, Clopen, SpaceSpec, h0_class, point_in, subdivide
+from bht.textio import Witness, format_witness, parse_witness
 from bht.vembed import binary_space, build_v_embedding, evaluate_embedding
+from bht.verify import run_checks
 from bht.witness import (
     avoiding_neighborhood,
     bisection_between,
@@ -26,14 +28,13 @@ from bht.witness import (
     compress,
     compressibility_witness,
     conjugate_family,
-    distinct_conjugates,
     doubling_witness,
     fixed_neighborhood,
     multisection,
     vigor_case,
     vigor_witness,
 )
-from util import B, V2, V3, V23, V2x2, clp, pt
+from util import B, V2, V3, V23, V2x2, clp, pt, set_claims
 
 V4 = SpaceSpec(1, (4,), 1)
 V2R2 = SpaceSpec(1, (2,), 2)
@@ -265,7 +266,6 @@ def test_distinct_conjugates_swap():
     for i in range(3):
         for j in range(i + 1, 3):
             assert fam.targets[i].isdisjoint(fam.targets[j])
-    assert distinct_conjugates(swap, 3) == list(outs)
 
 
 def test_distinct_conjugates_random():
@@ -362,27 +362,58 @@ def test_avoiding_neighborhood():
 
 def test_witnesses_run_no_validating_constructor(monkeypatch):
     # every witness is derived from validated inputs and wrapped as it is
-    # built, so none of these calls validates a bisection or table again
+    # built, so none of these calls validates a bisection, table or brick again
     g = multisection(clp(V3, "0"), clp(V3, "10"), clp(V3, "11")).element
     v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
     x0 = pt(V3, ("", "2"))
+    # the inputs are checked here, before the count starts
+    a2, b2, x2, y1, y2b, y2c = (clp(V2, *s.split()) for s in ("0", "1", "0 10", "00", "01", "000"))
+    a3, b3, c3, d3, e3 = (clp(V3, *s.split()) for s in ("0", "1", "2", "10 11 2", "20"))
     calls = []
     for cls in (PrefixBijection, TableElement):
         init = cls.__dict__["__init__"]
         monkeypatch.setattr(cls, "__init__",
                             lambda self, *a, cls=cls, init=init: calls.append(cls) or init(self, *a))
-    compress(clp(V2, "0"), clp(V2, "1"))
-    doubling_witness(clp(V2, "0", "10"))
-    bisection_between(clp(V3, "0"), clp(V3, "10", "11", "2"))
+    validate = Brick.validate
+    monkeypatch.setattr(Brick, "validate", lambda b, sp: calls.append(Brick) or validate(b, sp))
+    compress(a2, b2)
+    doubling_witness(x2)
+    bisection_between(a3, d3)
     bisection_between(V3.empty(), V3.empty())
-    multisection(clp(V3, "0"), clp(V3, "1"), clp(V3, "2"))
-    x, y1 = clp(V2, "0"), clp(V2, "00")
-    for y2, case in ((x, "a"), (clp(V2, "01"), "b"), (clp(V2, "000"), "c")):
-        assert vigor_case(x, y1, y2) == case
-        vigor_witness(x, y1, y2)
+    multisection(a3, b3, c3)
+    for y2, case in ((a2, "a"), (y2b, "b"), (y2c, "c")):
+        assert vigor_case(a2, y1, y2) == case
+        vigor_witness(a2, y1, y2)
     conjugate_family(g, 3)
     compressibility_witness(x0, 1, g)
-    compressibility_witness(x0, 2, clp(V3, "0"), clp(V3, "1"))
-    compressibility_witness(x0, 3, clp(V3, "0"), clp(V3, "1"), clp(V3, "20"))
-    evaluate_embedding(build_v_embedding(V3, clp(V3, "0")), v)
+    compressibility_witness(x0, 2, a3, b3)
+    compressibility_witness(x0, 3, a3, b3, e3)
+    evaluate_embedding(build_v_embedding(V3, a3), v)
     assert calls == []
+
+
+def test_each_set_claim_fails_alone_under_some_mutation():
+    def to(*words):
+        return PrefixBijection(V2, [(B(0, "0"), B(0, w)) for w in words])
+
+    a, b = clp(V2, "0"), clp(V2, "1")
+    assert compress(a, b).cells == to("10").cells
+    assert bisection_between(a, b).cells == to("1").cells
+    assert [d.cells for d in doubling_witness(a)] == [to("000").cells, to("010").cells]
+    cases = [
+        ("compress", {"A": a, "B": b, "output": to()}, "source equals A"),
+        ("compress", {"A": a, "B": clp(V2, "11"), "output": to("10")}, "image inside B"),
+        ("compress", {"A": a, "B": clp(V2, "10"), "output": to("10")}, "image strictly smaller than B"),
+        ("double", {"X": a, "output1": to(), "output2": to("010")}, "first source equals X"),
+        ("double", {"X": a, "output1": to("000"), "output2": to()}, "second source equals X"),
+        ("double", {"X": a, "output1": to("000"), "output2": to("000")}, "images disjoint"),
+        ("double", {"X": a, "output1": to("000"), "output2": to("1")}, "images inside X"),
+        ("double", {"X": a, "output1": to("00"), "output2": to("01")}, "images leave room in X"),
+        ("between", {"A": clp(V2, "0", "10"), "B": b, "output": to("1")}, "source equals A"),
+        ("between", {"A": a, "B": V2.full(), "output": to("1")}, "image equals B"),
+    ]
+    for kind, blocks, broken in cases:
+        w = parse_witness(format_witness(Witness(kind, blocks=blocks)))
+        claims = run_checks(w)
+        assert claims == set_claims(kind, w.blocks)
+        assert [what for ok, what in claims if not ok] == [broken], (kind, broken)

@@ -322,3 +322,47 @@ def embed_claims(blocks: dict) -> list:
         )
         claims.append((inside, "image supported in the region"))
     return claims
+
+
+# -- independent checker for ``compress``, ``double`` and ``between`` ---------
+#
+# The same word tuples as for ``embed``: one letter deeper than every brick of
+# the witness, so each membership is decided by prefixes alone.  The image of
+# a bisection is the set its target bricks hold.
+
+
+def set_claims(kind: str, blocks: dict) -> list:
+    """The claims of a ``compress``, ``double`` or ``between`` witness, as
+    ``bht.verify`` lists them, decided on word tuples without the library's
+    set algebra."""
+    space = next(iter(blocks.values())).space
+    sides = {}
+    for name, obj in blocks.items():
+        if isinstance(obj, Clopen):
+            sides[name] = list(obj.bricks)
+        else:
+            sides[name + ".source"] = [d for d, _ in obj.cells]
+            sides[name + ".image"] = [r for _, r in obj.cells]
+    bricks = [b for side in sides.values() for b in side]
+    depth = [1 + max([len(b.words[j]) for b in bricks], default=0) for j in range(space.n)]
+    points = [(root, words) for root in range(space.r) for words in _words(space.kbar, depth)]
+    sets = {name: frozenset(t for t in points if _find(side, t) is not None)
+            for name, side in sides.items()}
+    if kind == "double":
+        x, img1, img2 = sets["X"], sets["output1.image"], sets["output2.image"]
+        return [
+            (sets["output1.source"] == x, "first source equals X"),
+            (sets["output2.source"] == x, "second source equals X"),
+            (not img1 & img2, "images disjoint"),
+            (img1 | img2 <= x, "images inside X"),
+            (img1 | img2 != x, "images leave room in X"),
+        ]
+    a, b, src, img = sets["A"], sets["B"], sets["output.source"], sets["output.image"]
+    if kind == "compress":
+        return [
+            (src == a, "source equals A"),
+            (img <= b, "image inside B"),
+            (img != b, "image strictly smaller than B"),
+        ]
+    assert kind == "between", kind
+    return [(src == a, "source equals A"), (img == b, "image equals B")]
