@@ -42,6 +42,7 @@ def _factorint(m: int) -> dict[int, int]:
     return out
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class AbelianGroup:
     """Finite abelian group as a multiset of prime-power cyclic orders.
 
@@ -50,7 +51,8 @@ class AbelianGroup:
     isomorphic.  Printing uses ascending invariant factors.
     """
 
-    __slots__ = ("rank", "primary")
+    rank: int
+    primary: tuple[int, ...]
 
     def __init__(self, orders):
         rank = 0
@@ -63,9 +65,6 @@ class AbelianGroup:
                 primary.extend(sorted(_factorint(d).items()))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "primary", tuple(sorted(p ** e for p, e in primary)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianGroup is immutable")
 
     @classmethod
     def trivial(cls) -> "AbelianGroup":
@@ -80,9 +79,7 @@ class AbelianGroup:
         return cls([m] * e)
 
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        out = AbelianGroup([0] * (self.rank + other.rank))
-        object.__setattr__(out, "primary", tuple(sorted(self.primary + other.primary)))
-        return out
+        return AbelianGroup([0] * (self.rank + other.rank) + list(self.primary + other.primary))
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.primary
@@ -115,16 +112,6 @@ class AbelianGroup:
             factors.append(d)
         return [0] * self.rank + factors[::-1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AbelianGroup)
-            and self.rank == other.rank
-            and self.primary == other.primary
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.primary))
-
     def __str__(self):
         if self.is_trivial():
             return "0"
@@ -139,8 +126,6 @@ def homology(space: SpaceSpec, i: int) -> AbelianGroup:
     """Degree-i homology: (Z/gZ)^C(n-1, i), independent of the root count."""
     if i < 0:
         raise DomainError("degree must be >= 0")
-    if space.g == 1:
-        return AbelianGroup.trivial()
     return AbelianGroup.power(space.g, math.comb(space.n - 1, i))
 
 

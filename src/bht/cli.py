@@ -145,30 +145,25 @@ def _cmd_conjugates(args):
     return _emit_witness("conjugates", blocks, count=str(args.count))
 
 
+# per condition: the reader of its inputs, their count and block names, and
+# the output's block name
+_COMPRESSIBILITY = {
+    1: (_table, "one table file", ("element",), "output"),
+    2: (_clopen, "two clopen files", ("U1", "U2"), "element"),
+    3: (_clopen, "three clopen files", ("U1", "U2", "U3"), "element"),
+}
+
+
 def _cmd_compressibility(args):
-    if args.cond == 1:
-        if len(args.inputs) != 1:
-            raise ParseError("condition 1 needs one table file")
-        g = _table(args.inputs[0])
-        point = textio.parse_point(args.point, g.space)
-        u = witness.compressibility_witness(point, 1, g)
-        blocks = {"element": g, "output": u}
-    elif args.cond == 2:
-        if len(args.inputs) != 2:
-            raise ParseError("condition 2 needs two clopen files")
-        u1, u2 = (_clopen(p) for p in args.inputs)
-        point = textio.parse_point(args.point, u1.space)
-        g = witness.compressibility_witness(point, 2, u1, u2)
-        blocks = {"U1": u1, "U2": u2, "element": g}
-    elif args.cond == 3:
-        if len(args.inputs) != 3:
-            raise ParseError("condition 3 needs three clopen files")
-        u1, u2, u3 = (_clopen(p) for p in args.inputs)
-        point = textio.parse_point(args.point, u1.space)
-        g = witness.compressibility_witness(point, 3, u1, u2, u3)
-        blocks = {"U1": u1, "U2": u2, "U3": u3, "element": g}
-    else:
+    if args.cond not in _COMPRESSIBILITY:
         raise ParseError("condition must be 1, 2 or 3")
+    read, needs, names, out = _COMPRESSIBILITY[args.cond]
+    if len(args.inputs) != len(names):
+        raise ParseError("condition %d needs %s" % (args.cond, needs))
+    inputs = [read(p) for p in args.inputs]
+    point = textio.parse_point(args.point, inputs[0].space)
+    blocks = dict(zip(names, inputs))
+    blocks[out] = witness.compressibility_witness(point, args.cond, *inputs)
     return _emit_witness("compressibility", blocks, condition=str(args.cond), point=args.point)
 
 

@@ -59,10 +59,16 @@ def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:
     return held == space.r * prod(p[0] for p in powers)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PrefixBijection:
-    """Finite matching of disjoint source bricks to disjoint target bricks."""
+    """Finite matching of disjoint source bricks to disjoint target bricks.
 
-    __slots__ = ("space", "cells")
+    Equality is syntactic on the cell list and holds only between objects of
+    the same class, so a table never equals a bisection.
+    """
+
+    space: SpaceSpec
+    cells: tuple[Cell, ...]
 
     def __init__(self, space: SpaceSpec, cells: Iterable[Cell]):
         cells = sorted(tuple(c) for c in cells)
@@ -73,19 +79,6 @@ class PrefixBijection:
         _check_disjoint("target", sorted(r for _, r in cells))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cells", tuple(cells))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.space == other.space
-            and self.cells == other.cells
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.space, self.cells))
 
     def __repr__(self):
         return "%s(%d cells over %s)" % (type(self).__name__, len(self.cells), self.space)
@@ -107,6 +100,7 @@ class PrefixBijection:
         return obj
 
 
+# not a dataclass itself: slots=True would break its zero-argument super()
 class TableElement(PrefixBijection):
     """Full bisection: a prefix-exchange homeomorphism of the whole space.
 

@@ -30,14 +30,15 @@ prefix trie whose levels also keep their distinct word lengths, so a query
 looks a prefix of its word up only at a length some indexed word has.
 
 ``Clopen(...)`` checks its bricks against the space and runs only on bricks
-from outside (``sampling`` and library callers).  Every clopen derived from
-checked objects (set operations, the empty and full sets, sources, images and
-supports of bisections, the pieces the witness and embedding constructors cut,
-and a parsed file, whose bricks the reader checks line by line) is built by
-``Clopen._wrap``, which canonicalizes without checking.
+from outside (``textio.parse``, ``sampling`` and library callers).  Every
+clopen derived from checked objects (set operations, the empty and full sets,
+sources, images and supports of bisections, and the pieces the witness and
+embedding constructors cut) is built by ``Clopen._wrap``, which canonicalizes
+without checking.
 
-All values here are immutable after construction and every operation is a
-pure function, so they can be shared freely between workers.
+All values here are immutable after construction (frozen dataclasses, whose
+checking ``__init__`` and unchecked ``_wrap`` set the fields once) and every
+operation is a pure function, so they can be shared freely between workers.
 """
 
 import math
@@ -464,6 +465,7 @@ def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[
                    fr.extend(tuple(w[len(v):] for w, v in pairs)))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Clopen:
     """Finite union of bricks over a fixed space, stored canonically.
 
@@ -473,7 +475,8 @@ class Clopen:
     hence semantic on point sets.
     """
 
-    __slots__ = ("space", "bricks")
+    space: SpaceSpec
+    bricks: tuple[Brick, ...]
 
     def __init__(self, space: SpaceSpec, bricks: Iterable[Brick]):
         bricks = list(bricks)
@@ -489,19 +492,6 @@ class Clopen:
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "bricks", canonical_bricks(space, bricks))
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Clopen is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Clopen)
-            and self.space == other.space
-            and self.bricks == other.bricks
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.bricks))
 
     def __repr__(self):
         return "Clopen(%r, %r)" % (self.space, list(self.bricks))
@@ -560,6 +550,7 @@ def _primitive_period(period: Word) -> Word:
     return period
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RationalPoint:
     """Ultimately periodic point: per dimension a preperiod and a period word.
 
@@ -568,7 +559,9 @@ class RationalPoint:
     agree, so equal points have syntactically equal representations.
     """
 
-    __slots__ = ("space", "root", "coords")
+    space: SpaceSpec
+    root: int
+    coords: tuple[tuple[Word, Word], ...]
 
     def __init__(self, space: SpaceSpec, root: int, coords: Iterable[tuple[Word, Word]]):
         coords = tuple((tuple(pre), tuple(per)) for pre, per in coords)
@@ -591,19 +584,6 @@ class RationalPoint:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "coords", tuple(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoint is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalPoint)
-            and (self.space, self.root, self.coords)
-            == (other.space, other.root, other.coords)
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.root, self.coords))
 
     def __repr__(self):
         return "RationalPoint(root=%d, coords=%r)" % (self.root, self.coords)

@@ -12,10 +12,13 @@ then one brick or cell per line:
     bisection n=1 k=2 r=1      a partial bisection, cells as in a table
     vpair                      a V table over the binary space, '0 -> 1'
 
-:func:`parse` reads all four; a witness wraps named objects in
-``begin <name>`` ... ``end`` lines after its ``witness <kind>`` header and
-one ``<key> <value>`` line per parameter.  Emission always happens in
-canonical order, making output files byte-stable for equal inputs.
+:func:`parse` reads all four and builds each with its checking constructor;
+a brick out of range is reported on its own line, overlapping bricks and a
+table that leaves part of the space uncovered on the header line.  A witness
+wraps named objects in ``begin <name>`` ... ``end`` lines after its
+``witness <kind>`` header and one ``<key> <value>`` line per parameter.
+Emission always happens in canonical order, making output files byte-stable
+for equal inputs.
 """
 
 from dataclasses import dataclass, field
@@ -47,11 +50,7 @@ def parse_word(s: str, line: int | None = None) -> Word:
 def format_space(space: SpaceSpec) -> str:
     if any(k > len(_DIGITS) for k in space.kbar):
         raise ParseError("alphabet too large for the text format")
-    return "space n=%d k=%s r=%d" % (
-        space.n,
-        ",".join(str(k) for k in space.kbar),
-        space.r,
-    )
+    return str(space)
 
 
 def _parse_space_fields(rest: list[str], line: int) -> SpaceSpec:
@@ -142,21 +141,23 @@ def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
     items = []
     for no, body in lines[1:]:
         if kind is Clopen:
-            brick = side(body, no)
-            try:
-                brick.validate(space)
-            except DomainError as err:
-                raise ParseError(str(err), no) from None
-            items.append(brick)
+            items.append(side(body, no))
         else:
             dom, arrow, ran = body.partition("->")
             if not arrow:
                 raise ParseError("expected '<dom> -> <ran>'", no)
             items.append((side(dom.strip(), no), side(ran.strip(), no)))
     try:
-        # clopen bricks were checked one by one above, to name their lines
-        return (Clopen._wrap if kind is Clopen else kind)(space, items)
+        return kind(space, items)
     except DomainError as err:
+        # name the line of the first brick out of range; overlap and
+        # coverage errors belong to the header
+        for (no, _), item in zip(lines[1:], items):
+            for brick in [item] if kind is Clopen else item:
+                try:
+                    brick.validate(space)
+                except DomainError as bad:
+                    raise ParseError(str(bad), no) from None
         raise ParseError(str(err), lineno) from None
 
 

@@ -42,15 +42,21 @@ def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -
     ]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class VEmbedding:
     """Region Y of class zero plus two halving bisections s0, s1: Y -> Y.
 
     The composite along a binary word u (outermost letter applied last) is a
     bisection from Y onto the sub-cell named by u; cells over a complete
-    antichain partition Y.
+    antichain partition Y.  Word bisections are cached in ``_words``, so
+    embeddings compare by identity.
     """
 
-    __slots__ = ("space", "region", "s0", "s1", "_words")
+    space: SpaceSpec
+    region: Clopen
+    s0: PrefixBijection
+    s1: PrefixBijection
+    _words: dict[Word, PrefixBijection]
 
     def __init__(self, space: SpaceSpec, region: Clopen, s0: PrefixBijection, s1: PrefixBijection):
         for ok, what in embedding_checks(region, s0, s1):
@@ -71,9 +77,6 @@ class VEmbedding:
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "s1", s1)
         object.__setattr__(self, "_words", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VEmbedding is immutable")
 
     def word_bisection(self, u: Word) -> PrefixBijection:
         """Composite bisection Y -> cell(u)."""

@@ -146,3 +146,14 @@ def test_h0_modulus_matches_homology_order():
             sp = S(n, k)
             h0 = homology(sp, 0)
             assert h0.order() == sp.g
+
+
+def test_groups_are_frozen_and_direct_sum_keeps_both_parts():
+    a, b = AbelianGroup([0, 12]), AbelianGroup([0, 0, 2, 4])
+    for field in ("rank", "primary"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    s = a.direct_sum(b)
+    assert (s.rank, s.primary) == (3, (2, 3, 4, 4))
+    assert s == AbelianGroup([0, 0, 0, 2, 3, 4, 4]) and hash(s) == hash(AbelianGroup([0, 0, 0, 4, 12, 2]))
+    assert a.direct_sum(AbelianGroup.trivial()) == a

@@ -326,3 +326,16 @@ def test_derived_clopens_run_no_brick_validation(monkeypatch, capsys, tmp_path):
     assert main(["double", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: line %d: " % (len(x.bricks) + 2)), err
+
+
+def test_bisections_are_frozen_and_a_table_never_equals_a_bisection():
+    g = random_element(V23, random.Random(61), factors=2, splits=3)
+    b = PrefixBijection(V23, g.cells)
+    for obj in (g, b, PrefixBijection._wrap(V23, list(g.cells))):
+        for field in ("space", "cells"):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, getattr(obj, field))
+    assert b == PrefixBijection._wrap(V23, list(g.cells))
+    assert g == TableElement(V23, g.cells) and hash(g) == hash(TableElement(V23, g.cells))
+    assert b.cells == g.cells and b != g and g != b
+    assert b in {b} and g not in {b}

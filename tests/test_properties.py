@@ -33,7 +33,7 @@ from bht.witness import (  # noqa: E402
 )
 from util import (  # noqa: E402
     V2, V3, V23, V2x2, compose_cells_all_pairs, embed_claims, evaluate_embedding_validated,
-    merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims,
+    cycle_claims, merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
@@ -502,5 +502,54 @@ def test_verify_set_kinds_agree_with_independent_checker(kind, space, seed, muta
     mutate_set_witness(space, blocks, mutation, rng)
     w = parse_witness(format_witness(Witness(kind, blocks=blocks)))
     claims = set_claims(kind, w.blocks)
+    assert run_checks(w) == claims
+    assert mutation is not None or all(ok for ok, _ in claims)
+
+
+def cycle_witness(kind, space, rng) -> tuple[dict, dict]:
+    """The blocks and parameters of a ``multisection`` or ``vigor`` witness of random inputs."""
+    if kind == "multisection":
+        parts = random_partition(space, rng, splits=4)
+        rng.shuffle(parts)
+        # equal brick counts give equal classes
+        size = rng.randint(1, len(parts) // 3)
+        xs = [Clopen(space, parts[i * size:(i + 1) * size]) for i in range(3)]
+        return dict(zip(("X0", "X1", "X2"), xs), element=multisection(*xs).element), {}
+    while True:
+        x = random_clopen(space, rng, splits=2, nonempty=True, proper=True)
+        y1 = random_clopen(space, rng, splits=2).intersect(x)
+        y2 = random_clopen(space, rng, splits=2, nonempty=True).intersect(x)
+        case = vigor_case(x, y1, y2)
+        if not y2.is_empty() and not (case == "c" and y1 == x):
+            return {"X": x, "Y1": y1, "Y2": y2, "element": vigor_witness(x, y1, y2)}, {"case": case}
+
+
+def mutate_cycle_witness(space, blocks, params, mutation, rng):
+    first, second, grown = ("X1", "X2", "X0") if "X0" in blocks else ("Y1", "Y2", "Y1")
+    if mutation == "swap two sets":
+        blocks[first], blocks[second] = blocks[second], blocks[first]
+    elif mutation == "grow a set":
+        blocks[grown] = blocks[grown].union(Clopen(space, blocks[grown].complement().bricks[:1]))
+    elif mutation == "other element":
+        blocks["element"] = random_element(space, rng, factors=2, splits=2)
+    elif mutation == "other case":
+        params["case"] = rng.choice([c for c in "abc" if c != params["case"]])
+
+
+CYCLE_MUTATIONS = {"multisection": ["swap two sets", "grow a set", "other element"],
+                   "vigor": ["swap two sets", "grow a set", "other element", "other case"]}
+
+
+@pytest.mark.parametrize("kind", ["multisection", "vigor"])
+@SETTINGS
+@given(st.sampled_from(EMBED_SPACES), SEEDS, st.data())
+def test_verify_cycle_kinds_agree_with_independent_checker(kind, space, seed, data):
+    mutations = CYCLE_MUTATIONS[kind]
+    mutation = data.draw(st.sampled_from([None] * len(mutations) + mutations))
+    rng = random.Random(seed)
+    blocks, params = cycle_witness(kind, space, rng)
+    mutate_cycle_witness(space, blocks, params, mutation, rng)
+    w = parse_witness(format_witness(Witness(kind, params=params, blocks=blocks)))
+    claims = cycle_claims(kind, w.blocks, w.params)
     assert run_checks(w) == claims
     assert mutation is not None or all(ok for ok, _ in claims)

@@ -298,3 +298,16 @@ def test_multi_root_clopens():
     assert x.union(x.complement()) == space.full()
     assert point_in(RationalPoint(space, 1, [((), (1,))]), x)
     assert not point_in(RationalPoint(space, 0, [((1,), (1,))]), x)
+
+
+def test_clopens_and_points_are_frozen_values():
+    x = clp(V23, "0,e", "1,01", "1,2")
+    p = pt(V2, ("1", "0"))
+    for obj, field in ((x, "bricks"), (x, "space"), (p, "root"), (p, "coords")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+    # canonical, so equal point sets hash equal whatever the brick order
+    y = Clopen(V23, reversed([B(0, "1", "2"), B(0, "0", ""), B(0, "1", "01")]))
+    assert y == x and hash(y) == hash(x)
+    assert Clopen._wrap(V23, x.bricks[::-1]) == x
+    assert pt(V2, ("10", "00")) == p and hash(pt(V2, ("10", "00"))) == hash(p)

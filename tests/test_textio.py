@@ -55,6 +55,32 @@ def test_clopen_file_checks_each_brick_once(monkeypatch):
             parse("\n".join(bad) + "\n", Clopen)
 
 
+def test_bad_cell_names_its_own_line():
+    # a bad letter or root on cell line k names line k, in a table, a
+    # bisection and a vpair alike
+    rng = random.Random(59)
+    space = SpaceSpec(2, (2, 3), 2)
+    x, y = (random_clopen(space, rng, splits=4, nonempty=True, proper=True) for _ in range(2))
+    files = [format_table(random_element(space, rng, factors=2, splits=4)),
+             format_bisection(compress(x, y)),
+             format_vpair(random_element(binary_space(), rng, factors=2, splits=4))]
+    edits = {
+        "cells": [(lambda d, r: "root:0 2,e -> " + r, "letter out of range in dimension 0"),
+                  (lambda d, r: d + " -> root:1 e,3", "letter out of range in dimension 1"),
+                  (lambda d, r: d + " -> root:2 e,e", "root 2 out of range")],
+        "vpair": [(lambda d, r: "2 -> " + r, "letter out of range in dimension 0"),
+                  (lambda d, r: d + " -> 0102", "letter out of range in dimension 0")],
+    }
+    for text in files:
+        lines = text.splitlines()
+        for k in range(2, len(lines) + 1):
+            dom, _, ran = lines[k - 1].partition(" -> ")
+            for edit, error in edits["vpair" if lines[0] == "vpair" else "cells"]:
+                bad = "\n".join(lines[:k - 1] + [edit(dom, ran)] + lines[k:]) + "\n"
+                with pytest.raises(ParseError, match="^line %d: %s$" % (k, error)):
+                    parse(bad)
+
+
 def test_table_round_trip():
     rng = random.Random(307)
     for _ in range(40):
@@ -133,7 +159,7 @@ def test_witness_parse_errors():
         "A": clp(V2, "0"), "B": V2.full(), "output": compress(clp(V2, "0"), V2.full())})).splitlines()
     assert lines[7:12] == ["root:0 e", "end", "begin output", "bisection n=1 k=2 r=1", "root:0 0 -> root:0 0"]
     # errors inside a block report the line of the file, not of the block
-    for i, bad, line in ((7, "root:0 2", 8), (11, "root:0 ? -> root:0 0", 12), (11, "root:0 2 -> root:0 0", 11)):
+    for i, bad, line in ((7, "root:0 2", 8), (11, "root:0 ? -> root:0 0", 12), (11, "root:0 2 -> root:0 0", 12)):
         text = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
         with pytest.raises(ParseError, match="^line %d: " % line):
             parse_witness(text)

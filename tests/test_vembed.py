@@ -202,3 +202,14 @@ def test_degenerate_vigor_instance_accepted():
     assert is_identity(img)
     assert closed_support(img).issubset(emb.transport(xb))
     assert image_clopen(img, emb.transport(y1)).issubset(emb.transport(xb))
+
+
+def test_embeddings_are_frozen_and_compare_by_identity():
+    emb = build_v_embedding(V3, clp(V3, "0"))
+    for field in ("space", "region", "s0", "s1", "_words"):
+        with pytest.raises(AttributeError):
+            setattr(emb, field, getattr(emb, field))
+    # the word-bisection cache is the one mutable part
+    assert emb.cell((0, 1)) == emb.cell((0, 1)) and (0, 1) in emb._words
+    twin = VEmbedding._wrap(V3, emb.region, emb.s0, emb.s1)
+    assert emb == emb and twin != emb and len({emb, twin}) == 2

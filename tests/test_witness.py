@@ -34,7 +34,7 @@ from bht.witness import (
     vigor_case,
     vigor_witness,
 )
-from util import B, V2, V3, V23, V2x2, clp, pt, set_claims
+from util import B, V2, V3, V23, V2x2, clp, cycle_claims, pt, set_claims
 
 V4 = SpaceSpec(1, (4,), 1)
 V2R2 = SpaceSpec(1, (2,), 2)
@@ -417,3 +417,47 @@ def test_each_set_claim_fails_alone_under_some_mutation():
         claims = run_checks(w)
         assert claims == set_claims(kind, w.blocks)
         assert [what for ok, what in claims if not ok] == [broken], (kind, broken)
+
+
+def test_each_cycle_claim_fails_under_some_mutation():
+    def t3(*pairs):
+        return TableElement(V3, [(B(0, d), B(0, r)) for d, r in (p.split() for p in pairs)])
+
+    x0, x1, x2 = clp(V3, "0"), clp(V3, "1"), clp(V3, "2")
+    cycle = multisection(x0, x1, x2).element
+    assert cycle.cells == t3("0 1", "1 2", "2 0").cells
+    x, y00, y01 = clp(V3, "0"), clp(V3, "00"), clp(V3, "01")
+    assert vigor_case(x, y00, y01) == "b"
+    vig = vigor_witness(x, y00, y01)
+    # once g^3 = 1, any two "maps" claims imply the third (g(X2) = g^3(X0)),
+    # so none of them fails alone while the order claim holds
+    maps = ["maps X0 onto X1", "maps X1 onto X2", "maps X2 onto X0"]
+    cases = [
+        ("multisection", {"X0": x0, "X1": x1, "X2": x2, "element": cycle}, {}, []),
+        ("multisection", {"X0": x0, "X1": x1, "X2": x2,
+                          "element": t3("0 1", "1 2", "20 01", "21 02", "22 00")}, {},
+         ["element has order 3"]),
+        ("multisection", {"X0": clp(V3, "00"), "X1": clp(V3, "01"), "X2": clp(V3, "02"),
+                          "element": t3("00 01", "01 02", "02 00", "10 11", "11 12", "12 10", "2 2")},
+         {}, ["support is the union of the cycle sets"]),
+        ("multisection", {"X0": x0, "X1": x2, "X2": x1, "element": cycle}, {}, maps),
+        ("multisection", {"X0": V3.full(), "X1": V3.full(), "X2": V3.full(), "element": cycle}, {},
+         ["cycle sets pairwise disjoint"]),
+        ("vigor", {"X": x, "Y1": y00, "Y2": y01, "element": vig}, {"case": "b"}, []),
+        ("vigor", {"X": x, "Y1": y00, "Y2": y00,
+                   "element": t3("0 0", "10 11", "11 12", "12 10", "2 2")}, {"case": "a"},
+         ["support inside X"]),
+        ("vigor", {"X": x, "Y1": y00, "Y2": y00,
+                   "element": t3("00 01", "01 02", "02 00", "1 1", "2 2")}, {"case": "a"},
+         ["image of Y1 inside Y2"]),
+        ("vigor", {"X": x, "Y1": y00, "Y2": y01,
+                   "element": t3("00 01", "01 00", "02 02", "1 1", "2 2")}, {"case": "b"},
+         ["single-cycle case has order 3"]),
+        ("vigor", {"X": x, "Y1": y00, "Y2": y01, "element": vig}, {"case": "a"},
+         ["case parameter matches the sets"]),
+    ]
+    for kind, blocks, params, broken in cases:
+        w = parse_witness(format_witness(Witness(kind, params=params, blocks=blocks)))
+        claims = run_checks(w)
+        assert claims == cycle_claims(kind, w.blocks, w.params)
+        assert [what for ok, what in claims if not ok] == broken, (kind, broken)

@@ -246,22 +246,25 @@ def _words(kbar, lengths) -> list:
                                     for k, m in zip(kbar, lengths))))
 
 
-def _agree(space: SpaceSpec, f, g, tuples) -> bool:
-    """Whether the maps f and g on word tuples agree on every point of the tuples."""
-    todo = list(tuples)
+def _refined(space: SpaceSpec, tuples, f) -> list:
+    """f(t) for every tuple t of the finest partition f needs below ``tuples``:
+    a tuple on which f raises :class:`_Split` is replaced by its children."""
+    out, todo = [], list(tuples)
     while todo:
         t = todo.pop()
         try:
-            same = f(t) == g(t)
+            out.append(f(t))
         except _Split as split:
             root, words = t
             j = split.dim
             todo += [(root, words[:j] + (words[j] + (a,),) + words[j + 1:])
                      for a in range(space.kbar[j])]
-            continue
-        if not same:
-            return False
-    return True
+    return out
+
+
+def _agree(space: SpaceSpec, f, g, tuples) -> bool:
+    """Whether the maps f and g on word tuples agree on every point of the tuples."""
+    return all(_refined(space, tuples, lambda t: f(t) == g(t)))
 
 
 def _v_image(y, s0, s1, v: TableElement, t):
@@ -366,3 +369,65 @@ def set_claims(kind: str, blocks: dict) -> list:
         ]
     assert kind == "between", kind
     return [(src == a, "source equals A"), (img == b, "image equals B")]
+
+
+# -- independent checker for ``multisection`` and ``vigor`` witnesses -----------
+#
+# The element acts on word tuples by cell lookup.  The tuples start at the
+# roots and are split wherever a clopen brick or a cell is deeper, until each
+# tuple lies wholly inside or outside every set block and stays inside a cell
+# for three applications.  On such a tuple t the element is a prefix exchange
+# from the cylinder of t onto that of its image, so it fixes the cylinder when
+# the image is t and otherwise moves a dense part of it.
+
+
+def cycle_claims(kind: str, blocks: dict, params: dict) -> list:
+    """The claims of a ``multisection`` or ``vigor`` witness, as ``bht.verify``
+    lists them, decided on word tuples without the library's set algebra."""
+    g = blocks["element"]
+    space = g.space
+    sets = {name: obj.bricks for name, obj in blocks.items() if name != "element"}
+
+    def orbit(t):
+        # (t, g t, g^2 t, g^3 t), the set blocks holding t and those holding g t
+        path = [t]
+        for _ in range(3):
+            path.append(_apply(g.cells, path[-1]))
+        held, image = ({name for name, bricks in sets.items() if _find(bricks, s) is not None}
+                       for s in path[:2])
+        return path, held, image
+
+    rows = _refined(space, [(root, ((),) * space.n) for root in range(space.r)], orbit)
+    moved = [path[1] != path[0] for path, _, _ in rows]
+    # g^3 is the identity and g is not, hence neither is g^2
+    order3 = all(path[3] == path[0] for path, _, _ in rows) and any(moved)
+    if kind == "multisection":
+        cycle = {"X0", "X1", "X2"}
+        claims = [
+            (order3, "element has order 3"),
+            (all(m == bool(held & cycle) for m, (_, held, _) in zip(moved, rows)),
+             "support is the union of the cycle sets"),
+        ]
+        for a, b in (("X0", "X1"), ("X1", "X2"), ("X2", "X0")):
+            # g is a bijection, so g(a) = b exactly when t in a iff g t in b
+            claims.append((all((a in held) == (b in image) for _, held, image in rows),
+                           "maps %s onto %s" % (a, b)))
+        if any(len(held & cycle) > 1 for _, held, _ in rows):
+            claims.append((False, "cycle sets pairwise disjoint"))
+        return claims
+    assert kind == "vigor", kind
+    if all("Y2" in held for _, held, _ in rows if "Y1" in held):
+        case = "a"
+    elif any("Y1" not in held for _, held, _ in rows if "Y2" in held):
+        case = "b"
+    else:
+        case = "c"
+    claims = [
+        (all("X" in held for m, (_, held, _) in zip(moved, rows) if m), "support inside X"),
+        (all("Y2" in image for _, held, image in rows if "Y1" in held), "image of Y1 inside Y2"),
+    ]
+    if case == "b":
+        claims.append((order3, "single-cycle case has order 3"))
+    if params.get("case") != case:
+        claims.append((False, "case parameter matches the sets"))
+    return claims
