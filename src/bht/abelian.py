@@ -66,21 +66,6 @@ class AbelianGroup:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "primary", tuple(sorted(p ** e for p, e in primary)))
 
-    @classmethod
-    def trivial(cls) -> "AbelianGroup":
-        return cls([])
-
-    @classmethod
-    def cyclic(cls, m: int) -> "AbelianGroup":
-        return cls([m])
-
-    @classmethod
-    def power(cls, m: int, e: int) -> "AbelianGroup":
-        return cls([m] * e)
-
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup([0] * (self.rank + other.rank) + list(self.primary + other.primary))
-
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.primary
 
@@ -126,7 +111,7 @@ def homology(space: SpaceSpec, i: int) -> AbelianGroup:
     """Degree-i homology: (Z/gZ)^C(n-1, i), independent of the root count."""
     if i < 0:
         raise DomainError("degree must be >= 0")
-    return AbelianGroup.power(space.g, math.comb(space.n - 1, i))
+    return AbelianGroup([space.g] * math.comb(space.n - 1, i))
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ class PrefixBijection:
         return obj
 
 
-# not a dataclass itself: slots=True would break its zero-argument super()
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TableElement(PrefixBijection):
     """Full bisection: a prefix-exchange homeomorphism of the whole space.
 
@@ -110,7 +110,7 @@ class TableElement(PrefixBijection):
     """
 
     def __init__(self, space: SpaceSpec, cells: Iterable[Cell]):
-        super().__init__(space, cells)
+        PrefixBijection.__init__(self, space, cells)
         if not _covers(space, [d for d, _ in self.cells]):
             raise DomainError("source bricks do not cover the space")
         if not _covers(space, [r for _, r in self.cells]):

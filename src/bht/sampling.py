@@ -1,7 +1,7 @@
 """Seeded random generators for partitions, clopens, points and elements.
 
 Everything takes an explicit ``random.Random`` so callers control
-reproducibility; the CLI and the test suite both rely on that.
+reproducibility; the test suite and the benchmark rely on that.
 """
 
 import random

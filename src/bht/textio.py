@@ -176,14 +176,6 @@ def format_bisection(b: PrefixBijection) -> str:
     return _format_table_like(b, "bisection")
 
 
-def format_vpair(v: TableElement) -> str:
-    v.space.check_same(binary_space())
-    lines = ["vpair"]
-    for d, r in v.cells:
-        lines.append("%s -> %s" % (format_word(d.words[0]), format_word(r.words[0])))
-    return "\n".join(lines) + "\n"
-
-
 def format_point(p: RationalPoint) -> str:
     coords = ",".join(
         "%s(%s)" % (format_word(pre), format_word(per)) for pre, per in p.coords
@@ -217,13 +209,16 @@ def parse_point(text: str, space: SpaceSpec) -> RationalPoint:
 class Witness:
     """A claim plus the data needed to re-check it: named, typed blocks.
 
-    ``param_lines`` maps each parameter read from a file to its line.
+    Read from a file, it keeps the line of its ``witness`` header, of each
+    parameter and of each block's ``begin``.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
     blocks: dict = field(default_factory=dict)
     param_lines: dict = field(default_factory=dict)
+    block_lines: dict = field(default_factory=dict)
+    kind_line: int | None = None
 
 
 def _format_block(obj) -> str:
@@ -249,22 +244,27 @@ def format_witness(w: Witness) -> str:
 def parse_witness(text: str) -> Witness:
     lines = _split_lines(text)
     if not lines or not lines[0][1].startswith("witness "):
-        raise ParseError("expected a 'witness <kind>' header", 1)
-    w = Witness(kind=lines[0][1].split(None, 1)[1].strip())
+        raise ParseError("expected a 'witness <kind>' header", lines[0][0] if lines else 1)
+    w = Witness(kind=lines[0][1].split(None, 1)[1].strip(), kind_line=lines[0][0])
     idx = 1
     while idx < len(lines):
         lineno, line = lines[idx]
         if line.startswith("begin "):
             name = line[6:].strip()
+            if name in w.blocks:
+                raise ParseError("repeated block %r" % name, lineno)
             end = next((j for j in range(idx + 1, len(lines)) if lines[j][1] == "end"), None)
             if end is None:
                 raise ParseError("unterminated block %r" % name, lineno)
             if end == idx + 1:
                 raise ParseError("empty block", lineno)
             w.blocks[name] = _parse_object(lines[idx + 1:end])
+            w.block_lines[name] = lineno
             idx = end + 1
         else:
             key, _, value = line.partition(" ")
+            if key in w.params:
+                raise ParseError("repeated parameter %r" % key, lineno)
             w.params[key] = value.strip()
             w.param_lines[key] = lineno
             idx += 1

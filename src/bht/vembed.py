@@ -14,21 +14,12 @@ verifier, once its own run of the checks has passed, build the embedding
 with ``VEmbedding._wrap``.
 """
 
-import random
 from dataclasses import dataclass
 
-from .element import (
-    PrefixBijection,
-    TableElement,
-    closed_support,
-    compose_partial,
-    extend_by_identity,
-    image_clopen,
-)
+from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity
 from .errors import DomainError
-from .sampling import random_clopen
 from .space import Clopen, SpaceSpec, Word, binary_space, compose_cells, h0_class, subdivide
-from .witness import _split_brick_list, bisection_between, vigor_case, vigor_witness
+from .witness import _split_brick_list, bisection_between
 
 
 def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -> list[tuple[bool, str]]:
@@ -90,17 +81,6 @@ class VEmbedding:
             self._words[u] = got
         return got
 
-    def cell(self, u: Word) -> Clopen:
-        return self.word_bisection(u).image
-
-    def transport(self, binary_set: Clopen) -> Clopen:
-        """The union of the cells named by a clopen of the binary space."""
-        binary_set.space.check_same(binary_space())
-        bricks = []
-        for b in binary_set.bricks:
-            bricks.extend(self.cell(b.words[0]).bricks)
-        return Clopen._wrap(self.space, bricks)
-
 
 def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
     """Embedding whose support region contains x.
@@ -140,49 +120,3 @@ def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
         back = [(t, s) for s, t in emb.word_bisection(d.words[0]).cells]
         cells += compose_cells(emb.word_bisection(r.words[0]).cells, back)
     return extend_by_identity(emb.space, cells)
-
-
-@dataclass(frozen=True)
-class ImageVigorReport:
-    trials: int
-    successes: int
-    failures: tuple[str, ...]
-
-    def all_ok(self) -> bool:
-        return self.successes == self.trials
-
-
-def image_vigor_check(emb: VEmbedding, trials: int, depth: int, seed: int = 0) -> ImageVigorReport:
-    """Sample vigor instances inside the region and solve them through V.
-
-    Random binary cells X', Y1', Y2' with Y1', Y2' inside X' (X' proper,
-    Y2' nonempty) are drawn at the given depth; the binary vigor witness is
-    evaluated through the embedding and its support and image containments
-    are re-checked in the ambient space.
-    """
-    if trials < 1 or depth < 1:
-        raise DomainError("trials and depth must be >= 1")
-    rng = random.Random(seed)
-    successes = 0
-    failures = []
-    done = 0
-    while done < trials:
-        xb = random_clopen(binary_space(), rng, splits=depth, nonempty=True, proper=True)
-        y1b = random_clopen(binary_space(), rng, splits=depth).intersect(xb)
-        y2b = random_clopen(binary_space(), rng, splits=depth, nonempty=True).intersect(xb)
-        if y2b.is_empty():
-            continue
-        if vigor_case(xb, y1b, y2b) == "c" and y1b == xb:
-            continue
-        done += 1
-        v = vigor_witness(xb, y1b, y2b)
-        img = evaluate_embedding(emb, v)
-        ok_support = closed_support(img).issubset(emb.transport(xb))
-        ok_image = image_clopen(img, emb.transport(y1b)).issubset(emb.transport(y2b))
-        if ok_support and ok_image:
-            successes += 1
-        else:
-            failures.append(
-                "trial %d: support ok=%s image ok=%s" % (done, ok_support, ok_image)
-            )
-    return ImageVigorReport(trials, successes, tuple(failures))

@@ -33,16 +33,22 @@ def _need(w: Witness, name: str, kind: type = Clopen, space: SpaceSpec | None = 
     also accepted where a bisection is needed.
     """
     if name not in w.blocks:
-        raise ParseError("witness %r is missing block %r" % (w.kind, name))
+        raise ParseError("witness %r is missing block %r" % (w.kind, name), w.kind_line)
     block = w.blocks[name]
+    line = w.block_lines.get(name)
     if not isinstance(block, kind):
-        raise ParseError("witness %r block %r is not a %s" % (w.kind, name, _KIND_NAMES[kind]))
+        raise ParseError("witness %r block %r is not a %s" % (w.kind, name, _KIND_NAMES[kind]), line)
     if space is None:
         space = next(iter(w.blocks.values())).space
     if block.space != space:
         raise ParseError("witness %r block %r is over %s, expected %s" % (
-            w.kind, name, block.space, space))
+            w.kind, name, block.space, space), line)
     return block
+
+
+def _param_line(w: Witness, key: str) -> int | None:
+    """The line of parameter ``key``, or of the header when it is missing."""
+    return w.param_lines.get(key, w.kind_line)
 
 
 def _int_param(w: Witness, key: str) -> int:
@@ -50,14 +56,14 @@ def _int_param(w: Witness, key: str) -> int:
         return int(w.params.get(key, "0"))
     except ValueError:
         raise ParseError("witness %r parameter %r must be an integer" % (w.kind, key),
-                         w.param_lines.get(key)) from None
+                         _param_line(w, key)) from None
 
 
 def _point_param(w: Witness, space: SpaceSpec) -> RationalPoint:
     try:
         return parse_point(w.params["point"], space)
     except ParseError as err:
-        raise ParseError(str(err), w.param_lines.get("point")) from None
+        raise ParseError(str(err), _param_line(w, "point")) from None
 
 
 def _check_compress(w: Witness) -> list[Check]:
@@ -134,7 +140,8 @@ def _check_conjugates(w: Witness) -> list[Check]:
     moved = _need(w, "moved")
     count = _int_param(w, "count")
     if count < 1:
-        raise ParseError("conjugates witness needs a positive 'count' parameter")
+        raise ParseError("conjugates witness needs a positive 'count' parameter",
+                         _param_line(w, "count"))
     conjugates = [_need(w, "conjugate%d" % i, TableElement) for i in range(1, count + 1)]
     conjugators = [_need(w, "conjugator%d" % i, TableElement) for i in range(1, count + 1)]
     targets = [_need(w, "target%d" % i) for i in range(1, count + 1)]
@@ -175,7 +182,7 @@ def _fixes_neighborhood(point, g: TableElement) -> bool:
 def _check_compressibility(w: Witness) -> list[Check]:
     condition = _int_param(w, "condition")
     if "point" not in w.params:
-        raise ParseError("compressibility witness needs a 'point' parameter")
+        raise ParseError("compressibility witness needs a 'point' parameter", w.kind_line)
     if condition == 1:
         g = _need(w, "element", TableElement)
         u = _need(w, "output")
@@ -208,7 +215,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
         if any(point_in(point, u) for u in (u1, u2, u3)):
             checks.append((False, "U1, U2, U3 avoid the point"))
         return checks
-    raise ParseError("compressibility condition must be 1, 2 or 3")
+    raise ParseError("compressibility condition must be 1, 2 or 3", _param_line(w, "condition"))
 
 
 def _check_embed(w: Witness) -> list[Check]:
@@ -243,5 +250,5 @@ _CHECKERS = {
 def run_checks(w: Witness) -> list[Check]:
     checker = _CHECKERS.get(w.kind)
     if checker is None:
-        raise ParseError("unknown witness kind %r" % w.kind)
+        raise ParseError("unknown witness kind %r" % w.kind, w.kind_line)
     return checker(w)

@@ -296,11 +296,6 @@ def avoiding_neighborhood(p: RationalPoint, *avoid: Clopen) -> Clopen:
         depth += 1
 
 
-def fixed_neighborhood(p: RationalPoint, g: TableElement) -> Clopen:
-    """A brick neighborhood of p on which g is pointwise the identity."""
-    return avoiding_neighborhood(p, closed_support(g))
-
-
 def compressibility_witness(x0: RationalPoint, condition: int, *args):
     """Witness for the subbase of all clopens avoiding x0 (closed under
     finite unions).

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,14 +11,13 @@ from bht.textio import (
     format_bisection,
     format_clopen,
     format_table,
-    format_vpair,
     format_witness,
     parse,
     parse_witness,
 )
 from bht.vembed import binary_space
 from bht.witness import compress, multisection, vigor_witness
-from util import B, V2, V3, clp
+from util import B, V2, V3, clp, vpair_text
 
 
 def run(capsys, *argv):
@@ -147,7 +147,7 @@ def test_compressibility_commands(capsys, tmp_path):
 def test_embed_v_command(capsys, tmp_path):
     x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
     v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
-    vfile = write(tmp_path, "v.vpair", format_vpair(v))
+    vfile = write(tmp_path, "v.vpair", vpair_text(v))
     code, out, _ = run(capsys, "embed-v", "--space", "1,3,1", "--support", x, vfile)
     assert code == 0
     wfile = write(tmp_path, "e.txt", out)
@@ -158,7 +158,7 @@ def test_embed_v_command(capsys, tmp_path):
 def test_v_elements_in_vpair_form_with_comments(capsys, tmp_path):
     x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
     v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
-    vfile = write(tmp_path, "v.vpair", "# the swap of the two halves\n\n" + format_vpair(v))
+    vfile = write(tmp_path, "v.vpair", "# the swap of the two halves\n\n" + vpair_text(v))
     code, out, err = run(capsys, "embed-v", "--space", "1,3,1", "--support", x, vfile)
     assert (code, err) == (0, "")
     code, out2, _ = run(capsys, "verify", write(tmp_path, "e.txt", out))
@@ -269,7 +269,7 @@ def test_verify_malformed_witness_is_parse_error(capsys, tmp_path, case):
                     blocks={"U1": a, "U2": b})
     code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", format_witness(w)))
     assert code == 2 and out == ""
-    assert err.startswith("parse error:")
+    assert re.match(r"parse error: line \d+: ", err), err
 
 
 COMPRESSIBILITY = """witness compressibility
@@ -301,7 +301,19 @@ end
      "line 9: every alphabet size must be >= 2"),
     ("space n=1 k=2 r=1\nroot:0 10", "space n=0 k=2 r=1\nroot:0 10",
      "line 5: dimension count must be >= 1"),
-], ids=["point", "point-root", "condition", "alphabet", "dimension"])
+    ("witness compressibility", "witness compressibilit",
+     "line 1: unknown witness kind 'compressibilit'"),
+    ("begin U2", "begin U4", "line 1: witness 'compressibility' is missing block 'U2'"),
+    ("begin element\ntable", "begin element\nbisection",
+     "line 12: witness 'compressibility' block 'element' is not a table"),
+    ("space n=1 k=2 r=1\nroot:0 11", "space n=1 k=3 r=1\nroot:0 11",
+     "line 8: witness 'compressibility' block 'U2' is over space n=1 k=3 r=1, "
+     "expected space n=1 k=2 r=1"),
+    ("condition 2", "condition 5", "line 2: compressibility condition must be 1, 2 or 3"),
+    ("condition 2", "# no condition", "line 1: compressibility condition must be 1, 2 or 3"),
+    ("point root:0 e(0)", "# no point", "line 1: compressibility witness needs a 'point' parameter"),
+], ids=["point", "point-root", "condition", "alphabet", "dimension", "kind", "missing-block",
+        "block-kind", "block-space", "condition-range", "missing-condition", "missing-point"])
 def test_verify_parse_errors_report_lines(capsys, tmp_path, old, new, error):
     code, out, _ = run(capsys, "verify", write(tmp_path, "w.txt", COMPRESSIBILITY))
     assert code == 0 and "FAIL" not in out
@@ -312,10 +324,12 @@ def test_verify_parse_errors_report_lines(capsys, tmp_path, old, new, error):
 def test_conjugates_count_error_reports_line(capsys, tmp_path, swap_file):
     code, out, _ = run(capsys, "conjugates", swap_file, "--count", "2")
     assert code == 0
-    bad = out.replace("count 2", "count 2.5")
-    code, out, err = run(capsys, "verify", write(tmp_path, "c.txt", bad))
-    assert (code, out) == (2, "")
-    assert err == "parse error: line 2: witness 'conjugates' parameter 'count' must be an integer\n"
+    for count, error in (("2.5", "witness 'conjugates' parameter 'count' must be an integer"),
+                         ("0", "conjugates witness needs a positive 'count' parameter")):
+        bad = out.replace("count 2", "count " + count)
+        code, out2, err = run(capsys, "verify", write(tmp_path, "c.txt", bad))
+        assert (code, out2) == (2, "")
+        assert err == "parse error: line 2: %s\n" % error
 
 
 def test_byte_stable_output(capsys, tmp_path):
@@ -340,7 +354,9 @@ def _mutation_fuzz(capsys, tmp_path, rng, witness_text, rounds):
             mutated[i] = line + "x"
         wfile = write(tmp_path, "mut.txt", "\n".join(mutated) + "\n")
         code = main(["verify", wfile])
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        # every malformed witness is refused on a line of the file
+        assert code != 2 or re.match(r"parse error: line \d+: ", err), (mutated[i], err)
         if code != 0:
             rejected += 1
     return rejected

@@ -339,3 +339,6 @@ def test_bisections_are_frozen_and_a_table_never_equals_a_bisection():
     assert g == TableElement(V23, g.cells) and hash(g) == hash(TableElement(V23, g.cells))
     assert b.cells == g.cells and b != g and g != b
     assert b in {b} and g not in {b}
+    # tables are slotted too, however they are built
+    for t in (TableElement(V23, g.cells), TableElement._wrap(V23, list(g.cells)), compose(g, g)):
+        assert not hasattr(t, "__dict__")

@@ -24,7 +24,7 @@ from bht.space import (  # noqa: E402
     Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, h0_class, merge_families,
     point_in, subdivide,
 )
-from bht.textio import Witness, format_clopen, format_vpair, format_witness, parse_witness  # noqa: E402
+from bht.textio import Witness, format_clopen, format_witness, parse_witness  # noqa: E402
 from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
 from bht.verify import run_checks  # noqa: E402
 from bht.witness import (  # noqa: E402
@@ -34,6 +34,7 @@ from bht.witness import (  # noqa: E402
 from util import (  # noqa: E402
     V2, V3, V23, V2x2, compose_cells_all_pairs, embed_claims, evaluate_embedding_validated,
     cycle_claims, merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims,
+    vpair_text,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
@@ -431,7 +432,7 @@ def test_verify_embed_agrees_with_independent_checker(tmp_path_factory, space, s
     v = random_element(binary_space(), rng, factors=2, splits=2)
     tmp = tmp_path_factory.mktemp("embed")
     (tmp / "x.clp").write_text(format_clopen(x))
-    (tmp / "v.vpair").write_text(format_vpair(v))
+    (tmp / "v.vpair").write_text(vpair_text(v))
     arg = ",".join(map(str, (space.n,) + space.kbar + (space.r,)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

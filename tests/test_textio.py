@@ -12,15 +12,14 @@ from bht.textio import (
     format_clopen,
     format_point,
     format_table,
-    format_vpair,
     format_witness,
     parse,
     parse_point,
     parse_witness,
 )
 from bht.vembed import binary_space
-from bht.witness import compress
-from util import B, V2, V23, V3, clp, pt
+from bht.witness import bisection_between, compress
+from util import B, V2, V23, V3, clp, pt, vpair_text
 
 
 def test_clopen_round_trip_fixed():
@@ -63,7 +62,7 @@ def test_bad_cell_names_its_own_line():
     x, y = (random_clopen(space, rng, splits=4, nonempty=True, proper=True) for _ in range(2))
     files = [format_table(random_element(space, rng, factors=2, splits=4)),
              format_bisection(compress(x, y)),
-             format_vpair(random_element(binary_space(), rng, factors=2, splits=4))]
+             vpair_text(random_element(binary_space(), rng, factors=2, splits=4))]
     edits = {
         "cells": [(lambda d, r: "root:0 2,e -> " + r, "letter out of range in dimension 0"),
                   (lambda d, r: d + " -> root:1 e,3", "letter out of range in dimension 1"),
@@ -102,7 +101,7 @@ def test_bisection_round_trip():
 
 def test_vpair_round_trip():
     v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
-    text = format_vpair(v)
+    text = vpair_text(v)
     assert text == "vpair\n0 -> 1\n1 -> 0\n"
     assert parse(text) == v
 
@@ -153,8 +152,10 @@ def test_witness_round_trip():
 
 
 def test_witness_parse_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 1: expected a 'witness <kind>' header$"):
         parse_witness("not a witness\n")
+    with pytest.raises(ParseError, match="^line 3: expected a 'witness <kind>' header$"):
+        parse_witness("# note\n\nwitnes compress\n")
     lines = format_witness(Witness("compress", blocks={
         "A": clp(V2, "0"), "B": V2.full(), "output": compress(clp(V2, "0"), V2.full())})).splitlines()
     assert lines[7:12] == ["root:0 e", "end", "begin output", "bisection n=1 k=2 r=1", "root:0 0 -> root:0 0"]
@@ -175,3 +176,14 @@ def test_witness_parse_errors():
         parse_witness("witness compress\n\nbegin A\nspace n=1 k=1 r=1\nroot:0 e\nend\n")
     w = parse_witness("witness compressibility\ncondition 2\n# note\npoint root:0 e(0)\n")
     assert w.param_lines == {"condition": 2, "point": 4}
+    # a repeated block or parameter is refused on the repeat's line: a forged
+    # output before the genuine one must not be silently replaced by it
+    text = format_witness(Witness("between", blocks={
+        "A": clp(V2, "0"), "B": clp(V2, "1"), "output": bisection_between(clp(V2, "0"), clp(V2, "1"))}))
+    assert text.count("begin output\n") == 1
+    forged = text.replace("begin output\n", "begin output\nbisection n=1 k=2 r=1\n"
+                          "root:0 0 -> root:0 0\nend\nbegin output\n")
+    with pytest.raises(ParseError, match="^line 14: repeated block 'output'$"):
+        parse_witness(forged)
+    with pytest.raises(ParseError, match="^line 3: repeated parameter 'case'$"):
+        parse_witness("witness vigor\ncase b\ncase c\n")

@@ -29,7 +29,6 @@ from bht.witness import (
     compressibility_witness,
     conjugate_family,
     doubling_witness,
-    fixed_neighborhood,
     multisection,
     vigor_case,
     vigor_witness,
@@ -313,7 +312,7 @@ def test_compressibility_condition2():
     u1, u2 = clp(V2, "10"), clp(V2, "11")
     g = compressibility_witness(x0, 2, u1, u2)
     assert image_clopen(g, u1).issubset(u2)
-    nb = fixed_neighborhood(x0, g)
+    nb = avoiding_neighborhood(x0, closed_support(g))
     assert point_in(x0, nb)
     assert nb.isdisjoint(closed_support(g))
 
@@ -324,7 +323,7 @@ def test_compressibility_condition3():
     g = compressibility_witness(x0, 3, u1, u2, u3)
     assert image_clopen(g, u1).isdisjoint(u3)
     assert closed_support(g).isdisjoint(u2)
-    assert point_in(x0, fixed_neighborhood(x0, g))
+    assert point_in(x0, avoiding_neighborhood(x0, closed_support(g)))
     with pytest.raises(DomainError):
         compressibility_witness(x0, 3, clp(V2, "10"), clp(V2, "10"), u3)
 
@@ -345,7 +344,7 @@ def test_compressibility_random():
             g = compressibility_witness(x0, 2, u1, u2)
             assert image_clopen(g, u1).issubset(u2)
             if not is_identity(g):
-                assert point_in(x0, fixed_neighborhood(x0, g))
+                assert point_in(x0, avoiding_neighborhood(x0, closed_support(g)))
             u3 = random_clopen(space, rng, splits=3).intersect(away).difference(u1)
             g3 = compressibility_witness(x0, 3, u1, u3.complement().intersect(away).difference(u1), u3)
             assert image_clopen(g3, u1).isdisjoint(u3)

@@ -1,14 +1,21 @@
 """Shared helpers for the test suite: terse constructors, the point oracle and references."""
 
 import itertools
+import random
+from dataclasses import dataclass
 
-from bht.element import PrefixBijection, TableElement, canonicalize
-from bht.space import Brick, Clopen, RationalPoint, SpaceSpec, compose_cells
+from bht.element import PrefixBijection, TableElement, canonicalize, closed_support, image_clopen
+from bht.sampling import random_clopen
+from bht.space import Brick, Clopen, RationalPoint, SpaceSpec, binary_space, compose_cells
+from bht.textio import format_word
+from bht.vembed import evaluate_embedding
+from bht.witness import vigor_case, vigor_witness
 
 V2 = SpaceSpec(1, (2,), 1)
 V3 = SpaceSpec(1, (3,), 1)
 V2x2 = SpaceSpec(2, (2, 2), 1)
 V23 = SpaceSpec(2, (2, 3), 1)
+BIN = binary_space()
 
 
 def W(s: str) -> tuple[int, ...]:
@@ -197,6 +204,52 @@ def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
         cells += PrefixBijection(space, compose_cells(there.cells, back.cells)).cells
     cells += [(b, b) for b in emb.region.complement().bricks]
     return canonicalize(TableElement(space, cells))
+
+
+def transport(emb, binary_set: Clopen) -> Clopen:
+    """The union of the embedding's cells named by a clopen of the binary space."""
+    return Clopen(emb.space, [b for c in binary_set.bricks
+                              for b in emb.word_bisection(c.words[0]).image.bricks])
+
+
+@dataclass(frozen=True)
+class ImageVigorReport:
+    trials: int
+    successes: int
+    failures: tuple[str, ...]
+
+
+def image_vigor_check(emb, trials: int, depth: int, seed: int = 0) -> ImageVigorReport:
+    """Sample vigor instances inside the region and solve them through V.
+
+    Random binary cells X', Y1', Y2' with Y1', Y2' inside X' (X' proper,
+    Y2' nonempty) are drawn at the given depth; the binary vigor witness is
+    evaluated through the embedding and its support and image containments
+    are re-checked in the ambient space.
+    """
+    rng = random.Random(seed)
+    successes, failures, done = 0, [], 0
+    while done < trials:
+        xb = random_clopen(BIN, rng, splits=depth, nonempty=True, proper=True)
+        y1b = random_clopen(BIN, rng, splits=depth).intersect(xb)
+        y2b = random_clopen(BIN, rng, splits=depth, nonempty=True).intersect(xb)
+        if y2b.is_empty() or (vigor_case(xb, y1b, y2b) == "c" and y1b == xb):
+            continue
+        done += 1
+        img = evaluate_embedding(emb, vigor_witness(xb, y1b, y2b))
+        ok_support = closed_support(img).issubset(transport(emb, xb))
+        ok_image = image_clopen(img, transport(emb, y1b)).issubset(transport(emb, y2b))
+        if ok_support and ok_image:
+            successes += 1
+        else:
+            failures.append("trial %d: support ok=%s image ok=%s" % (done, ok_support, ok_image))
+    return ImageVigorReport(trials, successes, tuple(failures))
+
+
+def vpair_text(v: TableElement) -> str:
+    """A V table in the ``vpair`` text form, one '<word> -> <word>' per cell."""
+    return "vpair\n" + "".join("%s -> %s\n" % (format_word(d.words[0]), format_word(r.words[0]))
+                               for d, r in v.cells)
 
 
 # -- independent checker for ``embed`` witnesses -----------------------------
