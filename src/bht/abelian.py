@@ -114,7 +114,7 @@ def homology(space: SpaceSpec, i: int) -> AbelianGroup:
     return AbelianGroup([space.g] * math.comb(space.n - 1, i))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterFamily:
     """``count`` proper characters, each of the given order."""
 
@@ -164,7 +164,7 @@ def abelianization(space: SpaceSpec) -> AbelianGroup:
     return AbelianGroup([f.order for f in _families(space) for _ in range(f.count)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterTable:
     """Proper characters grouped into families, plus the full dual group.
 

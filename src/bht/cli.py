@@ -36,9 +36,14 @@ def _parse_space_arg(text: str) -> SpaceSpec:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as err:
         raise ParseError("cannot read %s: %s" % (path, err)) from None
+    try:
+        return data.decode()
+    except UnicodeDecodeError as err:
+        line = len((data[:err.start].decode() + ".").splitlines())
+        raise ParseError("byte %#x is not UTF-8 text" % data[err.start], line) from None
 
 
 def _clopen(path: str) -> Clopen:
@@ -171,7 +176,7 @@ def _cmd_embed_v(args):
     space = _parse_space_arg(args.space)
     x = _clopen(args.support)
     space.check_same(x.space)
-    emb = vembed.build_v_embedding(space, x)
+    emb = vembed.build_v_embedding(x)
     blocks = {"X": x, "Y": emb.region, "s0": emb.s0, "s1": emb.s1}
     if args.velement is not None:
         v = blocks["velement"] = _table(args.velement)

@@ -117,7 +117,7 @@ class TableElement(PrefixBijection):
             raise DomainError("target bricks do not cover the space")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multisection:
     """Order-3 element cycling three disjoint clopens, identity elsewhere."""
 

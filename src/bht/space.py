@@ -36,16 +36,16 @@ sources, images and supports of bisections, and the pieces the witness and
 embedding constructors cut) is built by ``Clopen._wrap``, which canonicalizes
 without checking.
 
-All values here are immutable after construction (frozen dataclasses, whose
-checking ``__init__`` and unchecked ``_wrap`` set the fields once) and every
-operation is a pure function, so they can be shared freely between workers.
+All values here are immutable after construction (frozen slotted dataclasses
+whose fields, set once, are their whole state: nothing is cached on them) and
+every operation is a pure function, so they can be shared freely between
+workers.
 """
 
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SpaceMismatchError
@@ -53,7 +53,7 @@ from .errors import DomainError, SpaceMismatchError
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceSpec:
     """Shape of the space: dimension count, alphabet sizes and root count.
 
@@ -78,7 +78,7 @@ class SpaceSpec:
         if self.r < 1:
             raise DomainError("root count must be >= 1")
 
-    @cached_property
+    @property
     def g(self) -> int:
         return math.gcd(*(k - 1 for k in self.kbar))
 
@@ -90,10 +90,6 @@ class SpaceSpec:
         return Brick(root, ((),) * self.n)
 
     def full(self) -> "Clopen":
-        return self._full
-
-    @cached_property
-    def _full(self) -> "Clopen":
         return Clopen._wrap(self, [self.root_brick(i) for i in range(self.r)])
 
     def empty(self) -> "Clopen":

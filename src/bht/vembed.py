@@ -11,14 +11,17 @@ The conditions on (Y, s0, s1) live in :func:`embedding_checks`, for both
 embedding is wrapped, not validated again (see :mod:`bht.element`).
 :func:`build_v_embedding`, whose parts pass by construction, and the
 verifier, once its own run of the checks has passed, build the embedding
-with ``VEmbedding._wrap``.
+with ``VEmbedding._wrap``.  An embedding is a value that equals any other
+with the same three parts; :func:`evaluate_embedding` composes the bisection
+of each word it needs once per call.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity
 from .errors import DomainError
-from .space import Clopen, SpaceSpec, Word, binary_space, compose_cells, h0_class, subdivide
+from .space import Clopen, Word, binary_space, compose_cells, h0_class, subdivide
 from .witness import _split_brick_list, bisection_between
 
 
@@ -33,63 +36,49 @@ def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -
     ]
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, slots=True)
 class VEmbedding:
     """Region Y of class zero plus two halving bisections s0, s1: Y -> Y.
 
     The composite along a binary word u (outermost letter applied last) is a
     bisection from Y onto the sub-cell named by u; cells over a complete
-    antichain partition Y.  Word bisections are cached in ``_words``, so
-    embeddings compare by identity.
+    antichain partition Y.
     """
 
-    space: SpaceSpec
     region: Clopen
     s0: PrefixBijection
     s1: PrefixBijection
-    _words: dict[Word, PrefixBijection]
 
-    def __init__(self, space: SpaceSpec, region: Clopen, s0: PrefixBijection, s1: PrefixBijection):
-        for ok, what in embedding_checks(region, s0, s1):
+    def __post_init__(self):
+        for ok, what in embedding_checks(self.region, self.s0, self.s1):
             if not ok:
                 raise DomainError("not an embedding: fails '%s'" % what)
-        self._fill(space, region, s0, s1)
 
     @classmethod
-    def _wrap(cls, space: SpaceSpec, region: Clopen, s0: PrefixBijection, s1: PrefixBijection):
+    def _wrap(cls, region: Clopen, s0: PrefixBijection, s1: PrefixBijection):
         """Build from parts known to pass :func:`embedding_checks`, unchecked."""
         obj = object.__new__(cls)
-        obj._fill(space, region, s0, s1)
+        object.__setattr__(obj, "region", region)
+        object.__setattr__(obj, "s0", s0)
+        object.__setattr__(obj, "s1", s1)
         return obj
-
-    def _fill(self, space, region, s0, s1):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "_words", {})
 
     def word_bisection(self, u: Word) -> PrefixBijection:
         """Composite bisection Y -> cell(u)."""
-        got = self._words.get(u)
-        if got is None:
-            if not u:
-                got = PrefixBijection._wrap(self.space, [(b, b) for b in self.region.bricks])
-            else:
-                head = self.s0 if u[0] == 0 else self.s1
-                got = compose_partial(head, self.word_bisection(u[1:]))
-            self._words[u] = got
+        got = PrefixBijection._wrap(self.region.space, [(b, b) for b in self.region.bricks])
+        for letter in reversed(u):
+            got = compose_partial(self.s0 if letter == 0 else self.s1, got)
         return got
 
 
-def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
+def build_v_embedding(x: Clopen) -> VEmbedding:
     """Embedding whose support region contains x.
 
     The region starts as x and adjoins bricks carved from the complement (one
     at a time, each raising the class by 1) until the class vanishes; it is
     then split into two class-zero halves reached by exact bisections.
     """
-    space.check_same(x.space)
+    space = x.space
     if x.is_full():
         raise DomainError("the prescribed support must be a proper subset")
     if x.is_empty():
@@ -108,15 +97,16 @@ def build_v_embedding(space: SpaceSpec, x: Clopen) -> VEmbedding:
     parts = _split_brick_list(space, y.bricks, [0] * -(-short // (space.kbar[0] - 1)))
     y0 = Clopen._wrap(space, parts[: space.g])
     y1 = Clopen._wrap(space, parts[space.g:])
-    return VEmbedding._wrap(space, y, bisection_between(y, y0), bisection_between(y, y1))
+    return VEmbedding._wrap(y, bisection_between(y, y0), bisection_between(y, y1))
 
 
 def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
     """Image of a V element: on each source cell of v the composite
     s_target o s_source^-1, identity off the region."""
     v.space.check_same(binary_space())
+    word_bisection = functools.cache(emb.word_bisection)
     cells = []
     for d, r in v.cells:
-        back = [(t, s) for s, t in emb.word_bisection(d.words[0]).cells]
-        cells += compose_cells(emb.word_bisection(r.words[0]).cells, back)
-    return extend_by_identity(emb.space, cells)
+        back = [(t, s) for s, t in word_bisection(d.words[0]).cells]
+        cells += compose_cells(word_bisection(r.words[0]).cells, back)
+    return extend_by_identity(emb.region.space, cells)

@@ -16,7 +16,7 @@ from .element import (
     order,
 )
 from .errors import ParseError
-from .space import Clopen, RationalPoint, SpaceSpec, binary_space, point_in
+from .space import Clopen, SpaceSpec, binary_space, point_in
 from .textio import Witness, parse_point
 from .vembed import VEmbedding, embedding_checks, evaluate_embedding
 from .witness import vigor_case
@@ -46,24 +46,19 @@ def _need(w: Witness, name: str, kind: type = Clopen, space: SpaceSpec | None = 
     return block
 
 
-def _param_line(w: Witness, key: str) -> int | None:
-    """The line of parameter ``key``, or of the header when it is missing."""
-    return w.param_lines.get(key, w.kind_line)
-
-
-def _int_param(w: Witness, key: str) -> int:
+def _param(w: Witness, key: str, read=int):
+    """Parameter ``key`` of ``w``, read by ``read``: an integer unless a reader
+    is given.  A missing parameter is an error on the header line, a bad
+    value on its own line."""
+    if key not in w.params:
+        raise ParseError("witness %r is missing parameter %r" % (w.kind, key), w.kind_line)
+    line = w.param_lines[key]
     try:
-        return int(w.params.get(key, "0"))
-    except ValueError:
-        raise ParseError("witness %r parameter %r must be an integer" % (w.kind, key),
-                         _param_line(w, key)) from None
-
-
-def _point_param(w: Witness, space: SpaceSpec) -> RationalPoint:
-    try:
-        return parse_point(w.params["point"], space)
+        return read(w.params[key])
     except ParseError as err:
-        raise ParseError(str(err), _param_line(w, "point")) from None
+        raise ParseError(str(err), line) from None
+    except ValueError:
+        raise ParseError("witness %r parameter %r must be an integer" % (w.kind, key), line) from None
 
 
 def _check_compress(w: Witness) -> list[Check]:
@@ -138,10 +133,10 @@ def _check_vigor(w: Witness) -> list[Check]:
 def _check_conjugates(w: Witness) -> list[Check]:
     g = _need(w, "element", TableElement)
     moved = _need(w, "moved")
-    count = _int_param(w, "count")
+    count = _param(w, "count")
     if count < 1:
         raise ParseError("conjugates witness needs a positive 'count' parameter",
-                         _param_line(w, "count"))
+                         w.param_lines["count"])
     conjugates = [_need(w, "conjugate%d" % i, TableElement) for i in range(1, count + 1)]
     conjugators = [_need(w, "conjugator%d" % i, TableElement) for i in range(1, count + 1)]
     targets = [_need(w, "target%d" % i) for i in range(1, count + 1)]
@@ -180,13 +175,11 @@ def _fixes_neighborhood(point, g: TableElement) -> bool:
 
 
 def _check_compressibility(w: Witness) -> list[Check]:
-    condition = _int_param(w, "condition")
-    if "point" not in w.params:
-        raise ParseError("compressibility witness needs a 'point' parameter", w.kind_line)
+    condition = _param(w, "condition")
     if condition == 1:
         g = _need(w, "element", TableElement)
         u = _need(w, "output")
-        point = _point_param(w, u.space)
+        point = _param(w, "point", lambda text: parse_point(text, u.space))
         return [
             (closed_support(g).issubset(u), "support inside the subbase member"),
             (not point_in(point, u), "subbase member avoids the point"),
@@ -194,7 +187,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
     if condition == 2:
         u1, u2 = _need(w, "U1"), _need(w, "U2")
         g = _need(w, "element", TableElement)
-        point = _point_param(w, u1.space)
+        point = _param(w, "point", lambda text: parse_point(text, u1.space))
         return [
             (image_clopen(g, u1).issubset(u2), "image of U1 inside U2"),
             (not point_in(point, u1) and not point_in(point, u2), "U1, U2 avoid the point"),
@@ -203,7 +196,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
     if condition == 3:
         u1, u2, u3 = _need(w, "U1"), _need(w, "U2"), _need(w, "U3")
         g = _need(w, "element", TableElement)
-        point = _point_param(w, u1.space)
+        point = _param(w, "point", lambda text: parse_point(text, u1.space))
         checks = [
             (image_clopen(g, u1).isdisjoint(u3), "image of U1 misses U3"),
             (closed_support(g).isdisjoint(u2), "support misses U2"),
@@ -215,7 +208,7 @@ def _check_compressibility(w: Witness) -> list[Check]:
         if any(point_in(point, u) for u in (u1, u2, u3)):
             checks.append((False, "U1, U2, U3 avoid the point"))
         return checks
-    raise ParseError("compressibility condition must be 1, 2 or 3", _param_line(w, "condition"))
+    raise ParseError("compressibility condition must be 1, 2 or 3", w.param_lines["condition"])
 
 
 def _check_embed(w: Witness) -> list[Check]:
@@ -229,7 +222,7 @@ def _check_embed(w: Witness) -> list[Check]:
         # the embedding exists only when the region checks above pass, and
         # then it is built without running them again
         matches = all(ok for ok, _ in checks) and equals(
-            img, evaluate_embedding(VEmbedding._wrap(y.space, y, s0, s1), v))
+            img, evaluate_embedding(VEmbedding._wrap(y, s0, s1), v))
         checks.append((matches, "image matches the evaluated element"))
         checks.append((closed_support(img).issubset(y), "image supported in the region"))
     return checks

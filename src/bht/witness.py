@@ -219,7 +219,7 @@ def vigor_witness(x: Clopen, y1: Clopen, y2: Clopen) -> TableElement:
     return compose(g2, g1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjugateFamily:
     """Distinct conjugates h g h^-1 with the data proving distinctness:
     each conjugate maps ``moved`` into its own member of ``targets``."""

@@ -303,7 +303,7 @@ def test_criterion_7_embedding_suite():
             (make_space(2, 2, 1), Clopen(make_space(2, 2, 1), [make_space(2, 2, 1).root_brick(0).child(0, 0)])),
         )
         for sp, support in targets:
-            emb = build_v_embedding(sp, support)
+            emb = build_v_embedding(support)
             assert support.issubset(emb.region)
             assert h0_class(emb.region) == 0
             rng = random.Random(7000 + sp.n + sp.kbar[0])

@@ -1,7 +1,10 @@
 """The package surface: what ``src/bht`` defines is used by the package itself,
-importing the library loads no sampler, and the README example runs."""
+its values are frozen slotted dataclasses with no caches, importing the library
+loads no sampler, and the README example runs."""
 
 import ast
+import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -52,6 +55,28 @@ def test_every_definition_is_used_by_the_package():
     defined, referenced = _definitions_and_references()
     unused = {qualified for qualified, name in defined if name not in referenced}
     assert unused == set(UNREFERENCED_BUT_KEPT)
+
+
+def test_values_are_frozen_slotted_dataclasses_without_caches():
+    # the parser's witness container is the one mutable dataclass
+    loose = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "cached_property" not in names, path.name
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module("bht." + path.stem)
+        for name, obj in vars(module).items():
+            if not (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                continue
+            params = obj.__dataclass_params__
+            if not (params.frozen and params.eq and "__slots__" in vars(obj)):
+                loose.add("%s.%s" % (path.stem, name))
+    assert loose == {"textio.Witness"}
 
 
 def test_the_library_and_cli_load_no_sampler():

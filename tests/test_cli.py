@@ -292,33 +292,50 @@ end
 """
 
 
-@pytest.mark.parametrize("old, new, error", [
-    ("point root:0 e(0)", "point root:0 q(", "line 3: bad coordinate 'q('"),
-    ("point root:0 e(0)", "point root:5 e(0)", "line 3: root 5 out of range"),
-    ("condition 2", "condition two",
+@pytest.mark.parametrize("kind, old, new, error", [
+    ("compressibility", "point root:0 e(0)", "point root:0 q(", "line 3: bad coordinate 'q('"),
+    ("compressibility", "point root:0 e(0)", "point root:5 e(0)", "line 3: root 5 out of range"),
+    ("compressibility", "condition 2", "condition two",
      "line 2: witness 'compressibility' parameter 'condition' must be an integer"),
-    ("space n=1 k=2 r=1\nroot:0 11", "space n=1 k=1 r=1\nroot:0 11",
+    ("compressibility", "space n=1 k=2 r=1\nroot:0 11", "space n=1 k=1 r=1\nroot:0 11",
      "line 9: every alphabet size must be >= 2"),
-    ("space n=1 k=2 r=1\nroot:0 10", "space n=0 k=2 r=1\nroot:0 10",
+    ("compressibility", "space n=1 k=2 r=1\nroot:0 10", "space n=0 k=2 r=1\nroot:0 10",
      "line 5: dimension count must be >= 1"),
-    ("witness compressibility", "witness compressibilit",
+    ("compressibility", "witness compressibility", "witness compressibilit",
      "line 1: unknown witness kind 'compressibilit'"),
-    ("begin U2", "begin U4", "line 1: witness 'compressibility' is missing block 'U2'"),
-    ("begin element\ntable", "begin element\nbisection",
+    ("compressibility", "begin U2", "begin U4",
+     "line 1: witness 'compressibility' is missing block 'U2'"),
+    ("compressibility", "begin element\ntable", "begin element\nbisection",
      "line 12: witness 'compressibility' block 'element' is not a table"),
-    ("space n=1 k=2 r=1\nroot:0 11", "space n=1 k=3 r=1\nroot:0 11",
+    ("compressibility", "space n=1 k=2 r=1\nroot:0 11", "space n=1 k=3 r=1\nroot:0 11",
      "line 8: witness 'compressibility' block 'U2' is over space n=1 k=3 r=1, "
      "expected space n=1 k=2 r=1"),
-    ("condition 2", "condition 5", "line 2: compressibility condition must be 1, 2 or 3"),
-    ("condition 2", "# no condition", "line 1: compressibility condition must be 1, 2 or 3"),
-    ("point root:0 e(0)", "# no point", "line 1: compressibility witness needs a 'point' parameter"),
+    ("compressibility", "condition 2", "condition 5",
+     "line 2: compressibility condition must be 1, 2 or 3"),
+    ("compressibility", "condition 2", "# no condition",
+     "line 1: witness 'compressibility' is missing parameter 'condition'"),
+    ("compressibility", "point root:0 e(0)", "# no point",
+     "line 1: witness 'compressibility' is missing parameter 'point'"),
+    ("conjugates", "count 2", "# no count",
+     "line 1: witness 'conjugates' is missing parameter 'count'"),
 ], ids=["point", "point-root", "condition", "alphabet", "dimension", "kind", "missing-block",
-        "block-kind", "block-space", "condition-range", "missing-condition", "missing-point"])
-def test_verify_parse_errors_report_lines(capsys, tmp_path, old, new, error):
-    code, out, _ = run(capsys, "verify", write(tmp_path, "w.txt", COMPRESSIBILITY))
+        "block-kind", "block-space", "condition-range", "missing-condition", "missing-point",
+        "missing-count"])
+def test_verify_parse_errors_report_lines(capsys, tmp_path, swap_file, kind, old, new, error):
+    text = COMPRESSIBILITY
+    if kind == "conjugates":
+        text = run(capsys, "conjugates", swap_file, "--count", "2")[1]
+    code, out, _ = run(capsys, "verify", write(tmp_path, "w.txt", text))
     assert code == 0 and "FAIL" not in out
-    code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", COMPRESSIBILITY.replace(old, new)))
+    code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", text.replace(old, new)))
     assert (code, out, err) == (2, "", "parse error: %s\n" % error)
+
+
+def test_verify_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_bytes(COMPRESSIBILITY.encode().replace(b"root:0 11", b"root:0 1\x80", 1))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "parse error: line 10: byte 0x80 is not UTF-8 text\n")
 
 
 def test_conjugates_count_error_reports_line(capsys, tmp_path, swap_file):

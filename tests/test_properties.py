@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from bht.space import (  # noqa: E402
     Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, h0_class, merge_families,
     point_in, subdivide,
 )
-from bht.textio import Witness, format_clopen, format_witness, parse_witness  # noqa: E402
+from bht.textio import Witness, format_clopen, format_table, format_witness, parse_witness  # noqa: E402
 from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
 from bht.verify import run_checks  # noqa: E402
 from bht.witness import (  # noqa: E402
@@ -32,9 +33,9 @@ from bht.witness import (  # noqa: E402
     multisection, vigor_case, vigor_witness,
 )
 from util import (  # noqa: E402
-    V2, V3, V23, V2x2, compose_cells_all_pairs, embed_claims, evaluate_embedding_validated,
-    cycle_claims, merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims,
-    vpair_text,
+    V2, V3, V23, V2x2, clp, compose_cells_all_pairs, conjugate_blocks, conjugate_claims, embed_claims,
+    evaluate_embedding_validated, cycle_claims, merge_families_rounds, oracle_agree, refine,
+    section_words_levels, set_claims, vpair_text,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
@@ -389,7 +390,7 @@ def derived_objects(space, rng) -> list:
     if not u2.is_empty():
         out.append(compressibility_witness(x0, 2, u1, u2))
     out.append(compressibility_witness(x0, 3, u1, away.difference(u1).difference(u3), u3))
-    emb = build_v_embedding(space, x)
+    emb = build_v_embedding(x)
     out += [emb.s0, emb.s1, emb.word_bisection(()), emb.word_bisection((1, 0, 1))]
     out.append(evaluate_embedding(emb, random_element(binary_space(), rng, factors=2, splits=3)))
     clopens += [emb.region] + [b.source for b in out] + [b.image for b in out]
@@ -412,9 +413,9 @@ def test_derived_objects_pass_their_validating_constructors(space, seed):
 @given(st.sampled_from(INDEX_SPACES), SEEDS)
 def test_evaluate_embedding_matches_validated_path(space, seed):
     rng = random.Random(seed)
-    emb = build_v_embedding(space, random_clopen(space, rng, splits=3, nonempty=True, proper=True))
+    emb = build_v_embedding(random_clopen(space, rng, splits=3, nonempty=True, proper=True))
     # built unchecked, so the checking constructor must accept its parts
-    VEmbedding(space, emb.region, emb.s0, emb.s1)
+    VEmbedding(emb.region, emb.s0, emb.s1)
     for _ in range(3):
         v = random_element(binary_space(), rng, factors=2, splits=3)
         assert evaluate_embedding(emb, v) == evaluate_embedding_validated(emb, v)
@@ -438,7 +439,7 @@ def test_verify_embed_agrees_with_independent_checker(tmp_path_factory, space, s
     with contextlib.redirect_stdout(out):
         assert main(["embed-v", "--space", arg, "--support", str(tmp / "x.clp"), str(tmp / "v.vpair")]) == 0
     w = parse_witness(out.getvalue())
-    emb = build_v_embedding(space, x)
+    emb = build_v_embedding(x)
     if mutation == "other image":
         w.blocks["image"] = evaluate_embedding(emb, random_element(binary_space(), rng, factors=2, splits=2))
     elif mutation == "s1 = s0":
@@ -554,3 +555,99 @@ def test_verify_cycle_kinds_agree_with_independent_checker(kind, space, seed, da
     claims = cycle_claims(kind, w.blocks, w.params)
     assert run_checks(w) == claims
     assert mutation is not None or all(ok for ok, _ in claims)
+
+
+CONJUGATE_MUTATIONS = ["other conjugate", "other conjugator", "repeat a conjugate", "grow a target",
+                       "other target"]
+
+
+@SETTINGS
+@given(st.sampled_from(EMBED_SPACES), SEEDS,
+       st.sampled_from([None] * len(CONJUGATE_MUTATIONS) + CONJUGATE_MUTATIONS))
+def test_verify_conjugates_agrees_with_independent_checker(space, seed, mutation):
+    rng = random.Random(seed)
+    g = identity(space)
+    while is_identity(g):
+        g = random_element(space, rng, factors=2, splits=2)
+    count = rng.randint(2, 3)
+    blocks = conjugate_blocks(conjugate_family(g, count))
+    i, j = rng.sample(range(1, count + 1), 2)
+    if mutation == "other conjugate":
+        blocks["conjugate%d" % i] = random_element(space, rng, factors=2, splits=2)
+    elif mutation == "other conjugator":
+        blocks["conjugator%d" % i] = random_element(space, rng, factors=2, splits=2)
+    elif mutation == "repeat a conjugate":
+        blocks["conjugate%d" % i] = blocks["conjugate%d" % j]
+    elif mutation == "grow a target":
+        blocks["target%d" % i] = blocks["target%d" % i].union(blocks["target%d" % j])
+    elif mutation == "other target":
+        blocks["target%d" % i] = random_clopen(space, rng, splits=2)
+    w = parse_witness(format_witness(Witness("conjugates", params={"count": str(count)}, blocks=blocks)))
+    claims = conjugate_claims(w.blocks, w.params)
+    assert run_checks(w) == claims
+    assert mutation is not None or all(ok for ok, _ in claims)
+
+
+# a witness command of each light kind (every kind but ``conjugates``), on the
+# files that ``light_witnesses`` writes
+LIGHT_COMMANDS = {
+    "compress": ["compress", "full.clp", "x.clp"],
+    "double": ["double", "x.clp"],
+    "between": ["between", "x.clp", "y.clp"],
+    "multisection": ["multisection", "x.clp", "y.clp", "z.clp"],
+    "vigor": ["vigor", "x.clp", "y1.clp", "y2.clp"],
+    "compressibility 1": ["compressibility", "--point", "root:0 e(0)", "--cond", "1", "g.tbl"],
+    "compressibility 2": ["compressibility", "--point", "root:0 e(0)", "--cond", "2", "u1.clp", "u2.clp"],
+    "compressibility 3": ["compressibility", "--point", "root:0 e(0)", "--cond", "3", "u1.clp", "u2b.clp",
+                          "u3.clp"],
+    "embed": ["embed-v", "--space", "1,3,1", "--support", "x.clp", "v.vpair"],
+}
+
+
+@pytest.fixture(scope="module")
+def light_witnesses(tmp_path_factory) -> dict:
+    """The output of each of ``LIGHT_COMMANDS``."""
+    tmp = tmp_path_factory.mktemp("light")
+    files = {name + ".clp": format_clopen(clp(V3, w))
+             for name, w in (("x", "0"), ("y", "1"), ("z", "2"), ("y1", "00"), ("y2", "01"))}
+    files.update({name + ".clp": format_clopen(clp(V2, w))
+                  for name, w in (("u1", "10"), ("u2", "11"), ("u2b", "110"), ("u3", "111"))})
+    files["full.clp"] = format_clopen(V3.full())
+    files["g.tbl"] = format_table(vigor_witness(clp(V2, "1"), clp(V2, "10"), clp(V2, "11")))
+    files["v.vpair"] = vpair_text(random_element(binary_space(), random.Random(5), factors=2, splits=2))
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    texts = {}
+    for kind, argv in LIGHT_COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([str(tmp / a) if a in files else a for a in argv]) == 0, argv
+        texts[kind] = out.getvalue()
+    return texts
+
+
+BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                                st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("kind", LIGHT_COMMANDS)
+@SETTINGS
+@given(edits=BYTE_EDITS)
+def test_verify_survives_byte_mutations(light_witnesses, tmp_path_factory, kind, edits):
+    data = bytearray(light_witnesses[kind].encode())
+    for edit, pos, byte in edits:
+        if edit == "insert":
+            data.insert(pos % (len(data) + 1), byte)
+        elif edit == "delete":
+            del data[pos % len(data)]
+        else:
+            data[pos % len(data)] = byte
+    path = tmp_path_factory.getbasetemp() / "byte-mutated.txt"
+    path.write_bytes(bytes(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    # a malformed witness is refused on a line of the file, never by a traceback
+    assert code in (0, 1) or (code == 2 and re.match(r"parse error: line \d+: ", err.getvalue())), (
+        bytes(data), err.getvalue())

@@ -13,7 +13,7 @@ from bht.space import (
     point_in,
     subdivide,
 )
-from util import B, V2, V3, V23, V2x2, clp, pt
+from util import B, V2, V3, V23, V2x2, assert_frozen_value, clp, pt
 
 
 def test_space_validation():
@@ -303,9 +303,10 @@ def test_multi_root_clopens():
 def test_clopens_and_points_are_frozen_values():
     x = clp(V23, "0,e", "1,01", "1,2")
     p = pt(V2, ("1", "0"))
-    for obj, field in ((x, "bricks"), (x, "space"), (p, "root"), (p, "coords")):
-        with pytest.raises(AttributeError):
-            setattr(obj, field, getattr(obj, field))
+    for obj in (x, p, V23, SpaceSpec(1, [3], 2), V23.full(), Clopen._wrap(V23, x.bricks)):
+        assert_frozen_value(obj)
+    # the full set is built afresh each time, equal to the last
+    assert V23.full() == V23.full() and V23.full() is not V23.full()
     # canonical, so equal point sets hash equal whatever the brick order
     y = Clopen(V23, reversed([B(0, "1", "2"), B(0, "0", ""), B(0, "1", "01")]))
     assert y == x and hash(y) == hash(x)

@@ -25,7 +25,7 @@ from bht.vembed import (
     evaluate_embedding,
 )
 from bht.witness import bisection_between
-from util import B, V2, V3, clp, image_vigor_check, transport, vpair_text
+from util import B, V2, V3, assert_frozen_value, clp, image_vigor_check, transport, vpair_text
 
 BIN = binary_space()
 
@@ -35,14 +35,14 @@ def vswap() -> TableElement:
 
 
 def test_build_for_class_zero_support():
-    emb = build_v_embedding(V2, clp(V2, "0"))
+    emb = build_v_embedding(clp(V2, "0"))
     assert emb.region == clp(V2, "0")
     assert emb.s0.image == clp(V2, "00")
     assert emb.s1.image == clp(V2, "01")
 
 
 def test_build_enlarges_to_class_zero():
-    emb = build_v_embedding(V3, clp(V3, "0"))
+    emb = build_v_embedding(clp(V3, "0"))
     assert emb.region == clp(V3, "0", "1")
     assert h0_class(emb.region) == 0
     assert h0_class(emb.s0.image) == 0
@@ -53,7 +53,7 @@ def test_build_enlarges_to_class_zero():
 
 def _broken(case):
     """(region, s0, s1) from the embedding for V3 and "0" with one condition broken."""
-    emb = build_v_embedding(V3, clp(V3, "0"))
+    emb = build_v_embedding(clp(V3, "0"))
     y, s0, s1 = emb.region, emb.s0, emb.s1
     assert (y, s0.image, s1.image) == (clp(V3, "0", "1"), clp(V3, "00", "01"), clp(V3, "02", "1"))
     if case == "class":
@@ -78,7 +78,7 @@ BROKEN = {
 def test_embedding_rejects_broken_condition(case, capsys, tmp_path):
     y, s0, s1 = _broken(case)
     with pytest.raises(DomainError):
-        VEmbedding(V3, y, s0, s1)
+        VEmbedding(y, s0, s1)
     path = tmp_path / "e.txt"
     path.write_text(format_witness(Witness("embed", blocks={"X": y, "Y": y, "s0": s0, "s1": s1})))
     assert main(["verify", str(path)]) == 1
@@ -92,7 +92,7 @@ def test_embedding_checks_run_once_per_embed_witness(monkeypatch, capsys, tmp_pa
     checks = vembed.embedding_checks
     for module in (vembed, verify):
         monkeypatch.setattr(module, "embedding_checks", lambda *a: calls.append(a) or checks(*a))
-    build_v_embedding(V3, clp(V3, "0"))
+    build_v_embedding(clp(V3, "0"))
     assert len(calls) == 0
     x, v = tmp_path / "x.clp", tmp_path / "v.vpair"
     x.write_text(format_clopen(clp(V3, "0")))
@@ -108,9 +108,9 @@ def test_embedding_checks_run_once_per_embed_witness(monkeypatch, capsys, tmp_pa
 
 def test_build_rejects_full_or_empty():
     with pytest.raises(DomainError):
-        build_v_embedding(V2, V2.full())
+        build_v_embedding(V2.full())
     with pytest.raises(DomainError):
-        build_v_embedding(V2, V2.empty())
+        build_v_embedding(V2.empty())
 
 
 def test_cells_partition_region():
@@ -118,7 +118,7 @@ def test_cells_partition_region():
     for space, support in ((V2, clp(V2, "0")), (V3, clp(V3, "2")), (SpaceSpec(2, (2, 2), 1), None)):
         if support is None:
             support = Clopen(space, [space.root_brick(0).child(0, 0)])
-        emb = build_v_embedding(space, support)
+        emb = build_v_embedding(support)
         # uniform antichains of depth 1..4
         for depth in range(1, 5):
             cells = [emb.word_bisection(w).image for w in itertools.product((0, 1), repeat=depth)]
@@ -142,7 +142,7 @@ def test_cells_partition_region():
 
 
 def test_identity_and_swap():
-    emb = build_v_embedding(V2, clp(V2, "0"))
+    emb = build_v_embedding(clp(V2, "0"))
     assert is_identity(evaluate_embedding(emb, identity(BIN)))
     img = evaluate_embedding(emb, vswap())
     assert order(img, 5) == 2
@@ -156,7 +156,7 @@ def test_identity_and_swap():
 
 def test_homomorphism_property():
     rng = random.Random(223)
-    emb = build_v_embedding(V3, clp(V3, "0"))
+    emb = build_v_embedding(clp(V3, "0"))
     for _ in range(30):
         v = random_element(BIN, rng, factors=2, splits=3)
         w = random_element(BIN, rng, factors=2, splits=3)
@@ -167,7 +167,7 @@ def test_homomorphism_property():
 
 def test_nontriviality_and_support():
     rng = random.Random(227)
-    emb = build_v_embedding(V2, clp(V2, "10"))
+    emb = build_v_embedding(clp(V2, "10"))
     seen = 0
     while seen < 20:
         v = random_element(BIN, rng, factors=2, splits=3)
@@ -180,7 +180,7 @@ def test_nontriviality_and_support():
 
 
 def test_image_vigor_check_small():
-    emb = build_v_embedding(V2, clp(V2, "0"))
+    emb = build_v_embedding(clp(V2, "0"))
     report = image_vigor_check(emb, trials=20, depth=3, seed=5)
     assert report.trials == report.successes == 20
     assert report.failures == ()
@@ -191,7 +191,7 @@ def test_degenerate_vigor_instance_accepted():
     from bht.element import image_clopen
     from bht.witness import vigor_witness
 
-    emb = build_v_embedding(V2, clp(V2, "0"))
+    emb = build_v_embedding(clp(V2, "0"))
     xb = Clopen(BIN, [B(0, "0")])
     y1 = Clopen(BIN, [B(0, "00")])
     v = vigor_witness(xb, y1, xb)
@@ -202,12 +202,15 @@ def test_degenerate_vigor_instance_accepted():
     assert image_clopen(img, transport(emb, y1)).issubset(transport(emb, xb))
 
 
-def test_embeddings_are_frozen_and_compare_by_identity():
-    emb = build_v_embedding(V3, clp(V3, "0"))
-    for field in ("space", "region", "s0", "s1", "_words"):
-        with pytest.raises(AttributeError):
-            setattr(emb, field, getattr(emb, field))
-    # the word-bisection cache is the one mutable part
-    assert emb.word_bisection((0, 1)) is emb.word_bisection((0, 1)) and (0, 1) in emb._words
-    twin = VEmbedding._wrap(V3, emb.region, emb.s0, emb.s1)
-    assert emb == emb and twin != emb and len({emb, twin}) == 2
+def test_embeddings_are_frozen_and_compare_by_value():
+    emb = build_v_embedding(clp(V3, "0"))
+    assert_frozen_value(emb)
+    # word bisections are composed afresh on each call, to equal values
+    assert emb.word_bisection((0, 1)) == emb.word_bisection((0, 1))
+    assert emb.word_bisection((0, 1)) is not emb.word_bisection((0, 1))
+    twin = VEmbedding._wrap(emb.region, emb.s0, emb.s1)
+    assert twin == emb and hash(twin) == hash(emb) and len({emb, twin}) == 1
+    assert VEmbedding(emb.region, emb.s0, emb.s1) == emb
+    assert VEmbedding._wrap(emb.region, emb.s1, emb.s0) != emb
+    v = vswap()
+    assert evaluate_embedding(twin, v) == evaluate_embedding(emb, v)

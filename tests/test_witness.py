@@ -33,7 +33,10 @@ from bht.witness import (
     vigor_case,
     vigor_witness,
 )
-from util import B, V2, V3, V23, V2x2, clp, cycle_claims, pt, set_claims
+from util import (
+    B, V2, V3, V23, V2x2, assert_frozen_value, clp, conjugate_blocks, conjugate_claims, cycle_claims,
+    pt, set_claims,
+)
 
 V4 = SpaceSpec(1, (4,), 1)
 V2R2 = SpaceSpec(1, (2,), 2)
@@ -267,6 +270,12 @@ def test_distinct_conjugates_swap():
             assert fam.targets[i].isdisjoint(fam.targets[j])
 
 
+def test_witness_records_are_frozen_values():
+    swap = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
+    assert_frozen_value(conjugate_family(swap, 2))
+    assert_frozen_value(multisection(clp(V3, "0"), clp(V3, "1"), clp(V3, "2")))
+
+
 def test_distinct_conjugates_random():
     rng = random.Random(127)
     done = 0
@@ -387,7 +396,7 @@ def test_witnesses_run_no_validating_constructor(monkeypatch):
     compressibility_witness(x0, 1, g)
     compressibility_witness(x0, 2, a3, b3)
     compressibility_witness(x0, 3, a3, b3, e3)
-    evaluate_embedding(build_v_embedding(V3, a3), v)
+    evaluate_embedding(build_v_embedding(a3), v)
     assert calls == []
 
 
@@ -460,3 +469,24 @@ def test_each_cycle_claim_fails_under_some_mutation():
         claims = run_checks(w)
         assert claims == cycle_claims(kind, w.blocks, w.params)
         assert [what for ok, what in claims if not ok] == broken, (kind, broken)
+
+
+def test_each_conjugates_claim_fails_alone_under_some_mutation():
+    swap = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
+    fam = conjugate_family(swap, 2)
+    c1, h1, t1, t2 = fam.conjugates[0], fam.conjugators[0], fam.targets[0], fam.targets[1]
+    # h1 fixes the moved brick pointwise and is not the identity
+    assert closed_support(h1).isdisjoint(fam.moved) and not is_identity(h1)
+    cases = [
+        ({}, []),
+        ({"conjugate1": compose(c1, h1)}, ["conjugate 1 equals h g h^-1"]),
+        ({"target1": V2.empty()}, ["conjugate 1 maps the moved brick into its target"]),
+        ({"moved": V2.empty(), "conjugate2": c1, "conjugator2": h1}, ["conjugates pairwise distinct"]),
+        ({"target2": t2.union(t1)}, ["targets pairwise disjoint"]),
+    ]
+    for change, broken in cases:
+        blocks = dict(conjugate_blocks(fam), **change)
+        w = parse_witness(format_witness(Witness("conjugates", params={"count": "2"}, blocks=blocks)))
+        claims = run_checks(w)
+        assert claims == conjugate_claims(w.blocks, w.params)
+        assert [what for ok, what in claims if not ok] == broken, change

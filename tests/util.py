@@ -1,8 +1,13 @@
 """Shared helpers for the test suite: terse constructors, the point oracle and references."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from dataclasses import dataclass
+
+import pytest
 
 from bht.element import PrefixBijection, TableElement, canonicalize, closed_support, image_clopen
 from bht.sampling import random_clopen
@@ -44,6 +49,22 @@ def clp(space: SpaceSpec, *brickspecs) -> Clopen:
 def pt(space: SpaceSpec, *coords, root: int = 0) -> RationalPoint:
     """Point from (preperiod, period) digit-string pairs, one per dimension."""
     return RationalPoint(space, root, [(W(pre), W(per)) for pre, per in coords])
+
+
+def assert_frozen_value(obj):
+    """``obj`` is a frozen slotted value: no instance ``__dict__``, no field
+    that can be set, no new attribute, and equal to its copies.
+
+    A new attribute raises TypeError rather than FrozenInstanceError: the
+    generated ``__setattr__`` refers to the class that ``slots=True`` replaced.
+    """
+    assert not hasattr(obj, "__dict__"), type(obj)
+    for field in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name, getattr(obj, field.name))
+    with pytest.raises(TypeError):
+        obj.extra = 1
+    assert copy.deepcopy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
 
 
 def oracle_image(tbl: TableElement, root: int, words):
@@ -196,7 +217,7 @@ def section_words_levels(space, dim, boxes) -> list:
 def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
     """Reference for ``bht.vembed.evaluate_embedding``: every bisection on the
     way, and the whole table, goes through the validating constructors."""
-    space = emb.space
+    space = emb.region.space
     cells = []
     for d, r in v.cells:
         there = PrefixBijection(space, emb.word_bisection(r.words[0]).cells)
@@ -208,8 +229,8 @@ def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
 
 def transport(emb, binary_set: Clopen) -> Clopen:
     """The union of the embedding's cells named by a clopen of the binary space."""
-    return Clopen(emb.space, [b for c in binary_set.bricks
-                              for b in emb.word_bisection(c.words[0]).image.bricks])
+    return Clopen(emb.region.space, [b for c in binary_set.bricks
+                                     for b in emb.word_bisection(c.words[0]).image.bricks])
 
 
 @dataclass(frozen=True)
@@ -483,4 +504,51 @@ def cycle_claims(kind: str, blocks: dict, params: dict) -> list:
         claims.append((order3, "single-cycle case has order 3"))
     if params.get("case") != case:
         claims.append((False, "case parameter matches the sets"))
+    return claims
+
+
+# -- independent checker for ``conjugates`` witnesses --------------------------
+#
+# The tables act on word tuples by cell lookup, as in ``cycle_claims``: a tuple
+# is split wherever a cell or a target brick is deeper, and since each map is a
+# prefix exchange, splitting a tuple refines its images in the same dimension.
+# Two tables differ exactly when some tuple goes to different places.
+
+
+def conjugate_blocks(fam) -> dict:
+    """The blocks of the witness of a conjugate family, as ``bht conjugates`` writes them."""
+    blocks = {"element": fam.base, "moved": fam.moved, "image": fam.image}
+    for i, (target, h, c) in enumerate(zip(fam.targets, fam.conjugators, fam.conjugates), 1):
+        blocks.update({"target%d" % i: target, "conjugator%d" % i: h, "conjugate%d" % i: c})
+    return blocks
+
+
+def conjugate_claims(blocks: dict, params: dict) -> list:
+    """The claims of a ``conjugates`` witness, as ``bht.verify`` lists them,
+    decided on word tuples without the library's set algebra."""
+    g = blocks["element"]
+    space = g.space
+    roots = [(root, ((),) * space.n) for root in range(space.r)]
+    moved = [(b.root, b.words) for b in blocks["moved"].bricks]
+    numbers = range(1, int(params["count"]) + 1)
+    conjugates = [blocks["conjugate%d" % i].cells for i in numbers]
+    targets = [blocks["target%d" % i].bricks for i in numbers]
+    claims = []
+    for i, c, target in zip(numbers, conjugates, targets):
+        h = blocks["conjugator%d" % i].cells
+        back = [(r, d) for d, r in h]
+        claims.append((_agree(space, lambda t: _apply(c, t),
+                              lambda t: _apply(h, _apply(g.cells, _apply(back, t))), roots),
+                       "conjugate %d equals h g h^-1" % i))
+        claims.append((all(_refined(space, moved, lambda t: _find(target, _apply(c, t)) is not None)),
+                       "conjugate %d maps the moved brick into its target" % i))
+    distinct = all(not _agree(space, lambda t: _apply(a, t), lambda t: _apply(b, t), roots)
+                   for a, b in itertools.combinations(conjugates, 2))
+    claims.append((distinct, "conjugates pairwise distinct"))
+    bricks = [b for target in targets for b in target]
+    depth = [1 + max([len(b.words[j]) for b in bricks], default=0) for j in range(space.n)]
+    points = [(root, words) for root in range(space.r) for words in _words(space.kbar, depth)]
+    sets = [frozenset(t for t in points if _find(target, t) is not None) for target in targets]
+    claims.append((all(not a & b for a, b in itertools.combinations(sets, 2)),
+                   "targets pairwise disjoint"))
     return claims
