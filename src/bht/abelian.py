@@ -1,6 +1,7 @@
 """Closed-form homology, abelianization, character counts and perfectness.
 
-Groups are described up to isomorphism by their primary decomposition:
+Groups are described up to isomorphism by their invariant factors
+d_1 | d_2 | ..., which gcd and lcm find without factoring any integer:
 
 >>> print(AbelianGroup([12]))
 Z_12
@@ -23,88 +24,53 @@ Z_2 x Z_2
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, NotDeterminedError
 from .space import SpaceSpec
 
 
-def _factorint(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class AbelianGroup:
-    """Finite abelian group as a multiset of prime-power cyclic orders.
+    """Finitely generated abelian group, by its ascending invariant factors.
 
     Accepts any list of cyclic orders (0 denotes an infinite cyclic factor,
-    1 is dropped); two instances compare equal exactly when the groups are
-    isomorphic.  Printing uses ascending invariant factors.
+    1 is dropped); ``factors`` lists a 0 for each infinite factor, then the
+    finite factors d_1 | d_2 | ..., so two instances compare equal exactly
+    when the groups are isomorphic.
+
+    >>> AbelianGroup([2, 4, 4, 3]).factors
+    (2, 4, 12)
     """
 
-    rank: int
-    primary: tuple[int, ...]
+    factors: tuple[int, ...]
 
     def __init__(self, orders):
-        rank = 0
-        primary = []
+        zeros, chain = 0, []
         for d in orders:
             d = abs(int(d))
             if d == 0:
-                rank += 1
-            elif d > 1:
-                primary.extend(sorted(_factorint(d).items()))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "primary", tuple(sorted(p ** e for p, e in primary)))
+                zeros += 1
+                continue
+            # Z_c + Z_d = Z_gcd + Z_lcm: the gcd moves down the chain until
+            # the factor below divides it
+            i = len(chain)
+            while d > 1 and i and d % chain[i - 1]:
+                i -= 1
+                chain[i], d = math.lcm(chain[i], d), math.gcd(chain[i], d)
+            if d > 1:
+                chain.insert(i, d)
+        object.__setattr__(self, "factors", (0,) * zeros + tuple(chain))
 
     def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.primary
-
-    def order(self):
-        """Number of elements, or None for an infinite group."""
-        if self.rank:
-            return None
-        return math.prod(self.primary)
-
-    def invariant_factors(self) -> list[int]:
-        """Ascending invariant factor list (0 for each infinite factor).
-
-        >>> AbelianGroup([2, 4, 4, 3]).invariant_factors()
-        [2, 4, 12]
-        """
-        by_prime: dict[int, list[int]] = {}
-        for q in self.primary:
-            p = min(_factorint(q))
-            by_prime.setdefault(p, []).append(q)
-        for qs in by_prime.values():
-            qs.sort(reverse=True)
-        width = max((len(qs) for qs in by_prime.values()), default=0)
-        factors = []
-        for i in range(width):
-            d = 1
-            for qs in by_prime.values():
-                if i < len(qs):
-                    d *= qs[i]
-            factors.append(d)
-        return [0] * self.rank + factors[::-1]
+        return not self.factors
 
     def __str__(self):
-        if self.is_trivial():
-            return "0"
-        parts = ["Z" if d == 0 else "Z_%d" % d for d in self.invariant_factors()]
-        return " x ".join(parts)
+        return " x ".join("Z" if d == 0 else "Z_%d" % d for d in self.factors) or "0"
 
     def __repr__(self):
-        return "AbelianGroup(%r)" % (self.invariant_factors(),)
+        return "AbelianGroup(%r)" % (list(self.factors),)
 
 
 def homology(space: SpaceSpec, i: int) -> AbelianGroup:
@@ -122,8 +88,8 @@ class CharacterFamily:
     order: int
 
 
-def _families(space: SpaceSpec) -> tuple[CharacterFamily, ...]:
-    """Cyclic factors of the abelianization, grouped as character families.
+def _orders(space: SpaceSpec) -> list[int]:
+    """Cyclic orders whose sum is the abelianization.
 
     For equal alphabet sizes k this is the seven-case table driven by the
     abelianization exact sequence; mixed alphabet sizes are covered only in
@@ -131,25 +97,25 @@ def _families(space: SpaceSpec) -> tuple[CharacterFamily, ...]:
     """
     if len(set(space.kbar)) > 1:
         if space.g == 1:
-            return ()
+            return []
         raise NotDeterminedError(
             "abelianization for mixed alphabet sizes with g = %d > 1 is not "
             "determined by the supported closed forms" % space.g
         )
     k, n = space.kbar[0], space.n
     if k % 2 == 0:
-        return (CharacterFamily(n - 1, k - 1),)
+        return [k - 1] * (n - 1)
     if n == 1:
-        return (CharacterFamily(1, 2),)
+        return [2]
     if k % 4 == 1:
-        return (CharacterFamily(1, 2), CharacterFamily(n - 1, k - 1))
+        return [2] + [k - 1] * (n - 1)
     if n == 2:
-        return (CharacterFamily(1, 2 * k - 2),)
-    return (CharacterFamily(n - 1, k - 1),)
+        return [2 * k - 2]
+    return [k - 1] * (n - 1)
 
 
 def abelianization(space: SpaceSpec) -> AbelianGroup:
-    """Abelianization of the full group of the space (see :func:`_families`).
+    """Abelianization of the full group of the space (see :func:`_orders`).
 
     >>> from bht.space import SpaceSpec
     >>> print(abelianization(SpaceSpec(1, (3,), 1)))
@@ -161,7 +127,7 @@ def abelianization(space: SpaceSpec) -> AbelianGroup:
     >>> print(abelianization(SpaceSpec(2, (2, 2), 1)))
     0
     """
-    return AbelianGroup([f.order for f in _families(space) for _ in range(f.count)])
+    return AbelianGroup(_orders(space))
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,7 +167,9 @@ def proper_characters(space: SpaceSpec) -> CharacterTable:
     (CharacterFamily(count=1, order=12),)
     """
     dual = abelianization(space)
-    return CharacterTable(() if dual.is_trivial() else _families(space), dual)
+    # one family for each run of equal invariant factors
+    runs = Counter(dual.factors)
+    return CharacterTable(tuple(CharacterFamily(c, d) for d, c in runs.items()), dual)
 
 
 def is_perfect(space: SpaceSpec) -> bool:

@@ -42,7 +42,7 @@ def _read(path: str) -> str:
     try:
         return data.decode()
     except UnicodeDecodeError as err:
-        line = len((data[:err.start].decode() + ".").splitlines())
+        line = data.count(b"\n", 0, err.start) + 1
         raise ParseError("byte %#x is not UTF-8 text" % data[err.start], line) from None
 
 

@@ -45,7 +45,6 @@ workers.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SpaceMismatchError
@@ -132,12 +131,6 @@ class Brick(NamedTuple):
 
     def depth(self) -> int:
         return sum(len(w) for w in self.words)
-
-    def measure(self, space: SpaceSpec) -> Fraction:
-        denom = 1
-        for j, w in enumerate(self.words):
-            denom *= space.kbar[j] ** len(w)
-        return Fraction(1, denom)
 
     def contains(self, other: "Brick") -> bool:
         return self.root == other.root and all(
@@ -497,9 +490,6 @@ class Clopen:
 
     def is_full(self) -> bool:
         return self == self.space.full()
-
-    def measure(self) -> Fraction:
-        return sum((b.measure(self.space) for b in self.bricks), Fraction(0))
 
     def union(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)

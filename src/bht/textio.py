@@ -1,8 +1,10 @@
 """Text formats: clopens, tables, bisections, V tables, points, and the
 witness container used by the command line.
 
-All formats are line based, UTF-8, LF.  Blank lines and lines starting with
-'#' may appear anywhere and are skipped; errors name the line of the file.
+All formats are line based, UTF-8, LF: only LF ends a line, and other line
+break characters such as form feed count as spaces.  Blank lines and lines
+starting with '#' may appear anywhere and are skipped; errors name the line
+of the file.
 Words are spelled with the base-36 digits 0-9a-z ('e' is the empty word), so
 alphabets up to 36 letters are supported.  An object is a header line and
 then one brick or cell per line:
@@ -73,7 +75,7 @@ def _parse_space_fields(rest: list[str], line: int) -> SpaceSpec:
 
 def _split_lines(text: str) -> list[tuple[int, str]]:
     out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             out.append((i, line))

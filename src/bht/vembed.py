@@ -13,7 +13,7 @@ embedding is wrapped, not validated again (see :mod:`bht.element`).
 verifier, once its own run of the checks has passed, build the embedding
 with ``VEmbedding._wrap``.  An embedding is a value that equals any other
 with the same three parts; :func:`evaluate_embedding` composes the bisection
-of each word it needs once per call.
+of each word suffix it needs once per call.
 """
 
 import functools
@@ -63,13 +63,6 @@ class VEmbedding:
         object.__setattr__(obj, "s1", s1)
         return obj
 
-    def word_bisection(self, u: Word) -> PrefixBijection:
-        """Composite bisection Y -> cell(u)."""
-        got = PrefixBijection._wrap(self.region.space, [(b, b) for b in self.region.bricks])
-        for letter in reversed(u):
-            got = compose_partial(self.s0 if letter == 0 else self.s1, got)
-        return got
-
 
 def build_v_embedding(x: Clopen) -> VEmbedding:
     """Embedding whose support region contains x.
@@ -104,9 +97,17 @@ def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
     """Image of a V element: on each source cell of v the composite
     s_target o s_source^-1, identity off the region."""
     v.space.check_same(binary_space())
-    word_bisection = functools.cache(emb.word_bisection)
+    space = emb.region.space
+
+    @functools.cache
+    def word_bisection(u: Word) -> PrefixBijection:
+        # Y -> cell(u) is s_u[0] after Y -> cell(u[1:]), so words share suffixes
+        if not u:
+            return PrefixBijection._wrap(space, [(b, b) for b in emb.region.bricks])
+        return compose_partial(emb.s1 if u[0] else emb.s0, word_bisection(u[1:]))
+
     cells = []
     for d, r in v.cells:
         back = [(t, s) for s, t in word_bisection(d.words[0]).cells]
         cells += compose_cells(word_bisection(r.words[0]).cells, back)
-    return extend_by_identity(emb.region.space, cells)
+    return extend_by_identity(space, cells)

@@ -29,31 +29,46 @@ UNREFERENCED_BUT_KEPT = {
 
 
 def _definitions_and_references():
-    defined, referenced = [], set()
+    """The definitions of the package, each with the lines of its own body when
+    it is a method, and every name and every attribute reference it makes."""
+    defined, names, attributes = [], set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(("%s.%s" % (path.stem, node.name), node.name))
+                defined.append(("%s.%s" % (path.stem, node.name), node.name, None))
             if isinstance(node, ast.ClassDef):
-                defined += [("%s.%s" % (node.name, item.name), item.name)
+                defined += [("%s.%s" % (node.name, item.name), item.name,
+                             (path, item.lineno, item.end_lineno))
                             for item in node.body if isinstance(item, ast.FunctionDef)
                             and not re.fullmatch("__.*__", item.name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                names.add(node.attr)
+                attributes.append((node.attr, path, node.lineno))
             elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    return defined, referenced
+                names.add(node.name)
+    return defined, names, attributes
 
 
 def test_every_definition_is_used_by_the_package():
-    defined, referenced = _definitions_and_references()
-    unused = {qualified for qualified, name in defined if name not in referenced}
+    # a function or class is used when its name appears; a method only through
+    # an attribute reference outside its own body, so that neither a function
+    # of the same name nor a call to itself keeps it
+    defined, names, attributes = _definitions_and_references()
+
+    def used(name, body):
+        if body is None:
+            return name in names
+        path, first, last = body
+        return any(attr == name and not (where == path and first <= line <= last)
+                   for attr, where, line in attributes)
+
+    unused = {qualified for qualified, name, body in defined if not used(name, body)}
     assert unused == set(UNREFERENCED_BUT_KEPT)
 
 

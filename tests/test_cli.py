@@ -1,8 +1,13 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bht
 from bht.cli import main
 from bht.element import TableElement
 from bht.space import Clopen
@@ -338,6 +343,18 @@ def test_verify_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
     assert (code, out, err) == (2, "", "parse error: line 10: byte 0x80 is not UTF-8 text\n")
 
 
+@pytest.mark.parametrize("data, error", [
+    # a form feed ends no line for an editor, nor for the parser
+    (b"space n=1 k=2 r=1\nroot:0 0\x0c\nroot:0 2\n", "line 3: letter out of range in dimension 0"),
+    # nor does U+0085 (NEL), when counting the line of a bad byte
+    (b"space n=1 k=2 r=1\nroot:0 0\xc2\x85\n\x80\n", "line 3: byte 0x80 is not UTF-8 text"),
+], ids=["form-feed", "next-line"])
+def test_parse_errors_count_only_newlines(capsys, tmp_path, data, error):
+    path = tmp_path / "X.clp"
+    path.write_bytes(data)
+    assert run(capsys, "double", str(path)) == (2, "", "parse error: %s\n" % error)
+
+
 def test_conjugates_count_error_reports_line(capsys, tmp_path, swap_file):
     code, out, _ = run(capsys, "conjugates", swap_file, "--count", "2")
     assert code == 0
@@ -437,3 +454,19 @@ def test_verify_rejects_mutations_across_kinds(capsys, tmp_path):
         outputs.append(out)
     rejected = [_mutation_fuzz(capsys, tmp_path, rng, out, 15) for out in outputs]
     assert min(rejected) >= 10, rejected
+
+
+# k - 1 = 2^61 - 1 is prime: trial division would take about 2^30 steps
+@pytest.mark.parametrize("argv, expected", [
+    (["homology", "--space", "2,2305843009213693952,1", "--degree", "1"], "Z_2305843009213693951"),
+    (["abelianization", "--space", "2,2305843009213693952,1"], "Z_2305843009213693951"),
+    (["characters", "--space", "2,2305843009213693952,1"],
+     "1 of order 2305843009213693951 (dual group Z_2305843009213693951)"),
+    (["perfect", "--space", "3,2305843009213693952,1"], "false"),
+], ids=["homology", "abelianization", "characters", "perfect"])
+def test_closed_forms_of_a_large_prime_alphabet_need_no_factoring(argv, expected):
+    path = os.pathsep.join([str(Path(bht.__file__).resolve().parent.parent),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-m", "bht.cli", *argv], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout, out.stderr) == (0, expected + "\n", "")

@@ -5,13 +5,13 @@ import io
 import random
 import re
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bht.abelian import AbelianGroup  # noqa: E402
 from bht.cli import main  # noqa: E402
 from bht.element import (  # noqa: E402
     PrefixBijection, TableElement, _check_disjoint, _covers, apply_point, canonicalize, compose,
@@ -25,21 +25,38 @@ from bht.space import (  # noqa: E402
     Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, h0_class, merge_families,
     point_in, subdivide,
 )
-from bht.textio import Witness, format_clopen, format_table, format_witness, parse_witness  # noqa: E402
+from bht.textio import (  # noqa: E402
+    Witness, format_clopen, format_point, format_table, format_witness, parse_witness,
+)
 from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
 from bht.verify import run_checks  # noqa: E402
 from bht.witness import (  # noqa: E402
-    bisection_between, compress, compressibility_witness, conjugate_family, doubling_witness,
-    multisection, vigor_case, vigor_witness,
+    bisection_between, brick_neighborhood, compress, compressibility_witness, conjugate_family,
+    doubling_witness, multisection, vigor_case, vigor_witness,
 )
 from util import (  # noqa: E402
-    V2, V3, V23, V2x2, clp, compose_cells_all_pairs, conjugate_blocks, conjugate_claims, embed_claims,
-    evaluate_embedding_validated, cycle_claims, merge_families_rounds, oracle_agree, refine,
-    section_words_levels, set_claims, vpair_text,
+    V2, V3, V23, V2x2, clp, compose_cells_all_pairs, compressibility_claims, conjugate_blocks,
+    conjugate_claims, cycle_claims, embed_claims, evaluate_embedding_validated, invariant_factors_by_primes,
+    measure, merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims, vpair_text,
+    word_bisection,
 )
 
 SPACES = [V2, V3, V2x2, V23, SpaceSpec(1, (2,), 2)]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# orders with 0 (infinite), 1 (dropped), repeats and shared primes
+ORDERS = st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 36]) | st.integers(0, 300), max_size=8)
+
+
+@SETTINGS
+@given(ORDERS, ORDERS, st.randoms(use_true_random=False))
+def test_abelian_factors_match_primary_decomposition(a, b, rng):
+    group, ref = AbelianGroup(a), invariant_factors_by_primes(a)
+    assert group.factors == ref
+    for same in (AbelianGroup(rng.sample(a, len(a)) + [1]), AbelianGroup(ref)):
+        assert same == group and hash(same) == hash(group)
+    assert (AbelianGroup(b) == group) == (invariant_factors_by_primes(b) == ref)
 
 
 @st.composite
@@ -307,7 +324,7 @@ def test_check_disjoint_names_the_pairwise_overlap(bs):
 def test_covers_matches_measure(space, rng):
     parts = random_partition(space, rng, splits=rng.randint(0, 8))
     kept = [b for b in parts if rng.random() < 0.8]
-    assert _covers(space, kept) == (sum((b.measure(space) for b in kept), Fraction(0)) == space.r)
+    assert _covers(space, kept) == (measure(space, kept) == space.r)
     # one brick shrunk to its first child, on either side of a table
     shrunk = [parts[0].child(0, 0)] + parts[1:]
     for cells, side in ((zip(shrunk, parts), "source"), (zip(parts, shrunk), "target")):
@@ -391,7 +408,7 @@ def derived_objects(space, rng) -> list:
         out.append(compressibility_witness(x0, 2, u1, u2))
     out.append(compressibility_witness(x0, 3, u1, away.difference(u1).difference(u3), u3))
     emb = build_v_embedding(x)
-    out += [emb.s0, emb.s1, emb.word_bisection(()), emb.word_bisection((1, 0, 1))]
+    out += [emb.s0, emb.s1, word_bisection(emb, ()), word_bisection(emb, (1, 0, 1))]
     out.append(evaluate_embedding(emb, random_element(binary_space(), rng, factors=2, splits=3)))
     clopens += [emb.region] + [b.source for b in out] + [b.image for b in out]
     return out + clopens
@@ -584,6 +601,55 @@ def test_verify_conjugates_agrees_with_independent_checker(space, seed, mutation
         blocks["target%d" % i] = random_clopen(space, rng, splits=2)
     w = parse_witness(format_witness(Witness("conjugates", params={"count": str(count)}, blocks=blocks)))
     claims = conjugate_claims(w.blocks, w.params)
+    assert run_checks(w) == claims
+    assert mutation is not None or all(ok for ok, _ in claims)
+
+
+def compressibility_blocks(condition, space, rng) -> tuple[dict, dict]:
+    """The blocks and parameters of a ``compressibility`` witness of random inputs."""
+    while True:
+        x0 = random_point(space, rng)
+        away = brick_neighborhood(x0, rng.randint(1, 3)).complement()
+        u1 = random_clopen(space, rng, splits=3).intersect(away)
+        u2 = random_clopen(space, rng, splits=3, nonempty=True).intersect(away)
+        if not u2.is_empty():
+            break
+    params = {"condition": str(condition), "point": format_point(x0)}
+    if condition == 1:
+        g = compressibility_witness(x0, 2, u1, u2)
+        return {"element": g, "output": compressibility_witness(x0, 1, g)}, params
+    if condition == 2:
+        return {"U1": u1, "U2": u2, "element": compressibility_witness(x0, 2, u1, u2)}, params
+    u2 = u2.difference(u1)
+    u3 = random_clopen(space, rng, splits=3).intersect(away)
+    return {"U1": u1, "U2": u2, "U3": u3, "element": compressibility_witness(x0, 3, u1, u2, u3)}, params
+
+
+COMPRESSIBILITY_MUTATIONS = ["other element", "other point", "grow a set", "drop a brick", "swap two sets"]
+
+
+@pytest.mark.parametrize("condition", [1, 2, 3])
+@SETTINGS
+@given(st.sampled_from(EMBED_SPACES), SEEDS, st.data())
+def test_verify_compressibility_agrees_with_independent_checker(condition, space, seed, data):
+    # condition 1 has one set, so nothing to swap
+    mutations = COMPRESSIBILITY_MUTATIONS[:-1] if condition == 1 else COMPRESSIBILITY_MUTATIONS
+    mutation = data.draw(st.sampled_from([None] * len(mutations) + mutations))
+    rng = random.Random(seed)
+    blocks, params = compressibility_blocks(condition, space, rng)
+    first, second = ("output", "output") if condition == 1 else ("U1", "U2")
+    if mutation == "other element":
+        blocks["element"] = random_element(space, rng, factors=2, splits=2)
+    elif mutation == "other point":
+        params["point"] = format_point(random_point(space, rng))
+    elif mutation == "grow a set":
+        blocks[second] = blocks[second].union(Clopen(space, blocks[second].complement().bricks[:1]))
+    elif mutation == "drop a brick":
+        blocks[first] = Clopen(space, blocks[first].bricks[1:])
+    elif mutation == "swap two sets":
+        blocks[first], blocks[second] = blocks[second], blocks[first]
+    w = parse_witness(format_witness(Witness("compressibility", params=params, blocks=blocks)))
+    claims = compressibility_claims(w.blocks, w.params)
     assert run_checks(w) == claims
     assert mutation is not None or all(ok for ok, _ in claims)
 

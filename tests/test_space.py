@@ -13,7 +13,7 @@ from bht.space import (
     point_in,
     subdivide,
 )
-from util import B, V2, V3, V23, V2x2, assert_frozen_value, clp, pt
+from util import B, V2, V3, V23, V2x2, assert_frozen_value, clp, measure, pt
 
 
 def test_space_validation():
@@ -286,9 +286,10 @@ def test_measure_consistency():
         space = rng.choice([V2, V3, V23])
         a = random_clopen(space, rng, splits=3)
         b = random_clopen(space, rng, splits=3)
-        assert a.union(b).measure() + a.intersect(b).measure() == a.measure() + b.measure()
-    assert V2.full().measure() == 1
-    assert SpaceSpec(1, (2,), 3).full().measure() == 3
+        assert (measure(space, a.union(b).bricks) + measure(space, a.intersect(b).bricks)
+                == measure(space, a.bricks) + measure(space, b.bricks))
+    assert measure(V2, V2.full().bricks) == 1
+    assert measure(SpaceSpec(1, (2,), 3), SpaceSpec(1, (2,), 3).full().bricks) == 3
 
 
 def test_multi_root_clopens():

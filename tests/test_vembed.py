@@ -25,7 +25,9 @@ from bht.vembed import (
     evaluate_embedding,
 )
 from bht.witness import bisection_between
-from util import B, V2, V3, assert_frozen_value, clp, image_vigor_check, transport, vpair_text
+from util import (
+    B, V2, V3, assert_frozen_value, clp, image_vigor_check, transport, vpair_text, word_bisection,
+)
 
 BIN = binary_space()
 
@@ -121,7 +123,7 @@ def test_cells_partition_region():
         emb = build_v_embedding(support)
         # uniform antichains of depth 1..4
         for depth in range(1, 5):
-            cells = [emb.word_bisection(w).image for w in itertools.product((0, 1), repeat=depth)]
+            cells = [word_bisection(emb, w).image for w in itertools.product((0, 1), repeat=depth)]
             total = space.empty()
             for i, c in enumerate(cells):
                 for d in cells[i + 1:]:
@@ -137,7 +139,7 @@ def test_cells_partition_region():
                 parts[i:i + 1] = [w + (0,), w + (1,)]
             total = space.empty()
             for w in parts:
-                total = total.union(emb.word_bisection(w).image)
+                total = total.union(word_bisection(emb, w).image)
             assert total == emb.region
 
 
@@ -205,9 +207,9 @@ def test_degenerate_vigor_instance_accepted():
 def test_embeddings_are_frozen_and_compare_by_value():
     emb = build_v_embedding(clp(V3, "0"))
     assert_frozen_value(emb)
-    # word bisections are composed afresh on each call, to equal values
-    assert emb.word_bisection((0, 1)) == emb.word_bisection((0, 1))
-    assert emb.word_bisection((0, 1)) is not emb.word_bisection((0, 1))
+    # the word bisections of an embedding are composed afresh on each call, to equal values
+    assert word_bisection(emb, (0, 1)) == word_bisection(emb, (0, 1))
+    assert word_bisection(emb, (0, 1)) is not word_bisection(emb, (0, 1))
     twin = VEmbedding._wrap(emb.region, emb.s0, emb.s1)
     assert twin == emb and hash(twin) == hash(emb) and len({emb, twin}) == 1
     assert VEmbedding(emb.region, emb.s0, emb.s1) == emb

@@ -34,8 +34,8 @@ from bht.witness import (
     vigor_witness,
 )
 from util import (
-    B, V2, V3, V23, V2x2, assert_frozen_value, clp, conjugate_blocks, conjugate_claims, cycle_claims,
-    pt, set_claims,
+    B, V2, V3, V23, V2x2, assert_frozen_value, clp, compressibility_claims, conjugate_blocks,
+    conjugate_claims, cycle_claims, pt, set_claims,
 )
 
 V4 = SpaceSpec(1, (4,), 1)
@@ -490,3 +490,42 @@ def test_each_conjugates_claim_fails_alone_under_some_mutation():
         claims = run_checks(w)
         assert claims == conjugate_claims(w.blocks, w.params)
         assert [what for ok, what in claims if not ok] == broken, change
+
+
+def test_each_compressibility_claim_fails_alone_under_some_mutation():
+    def t2(*pairs):
+        return TableElement(V2, [(B(0, d), B(0, r)) for d, r in (p.split() for p in pairs)])
+
+    x0 = x0_point(V2)
+    g1 = vigor_witness(clp(V2, "1"), clp(V2, "10"), clp(V2, "11"))
+    u = compressibility_witness(x0, 1, g1)
+    assert u == clp(V2, "1")
+    u1, u2, u3 = clp(V2, "10"), clp(V2, "11"), clp(V2, "111")
+    u2b = clp(V2, "110")
+    cases = [
+        ({"element": g1, "output": u}, []),
+        ({"element": g1, "output": clp(V2, "10")}, ["support inside the subbase member"]),
+        ({"element": g1, "output": V2.full()}, ["subbase member avoids the point"]),
+        ({"U1": u1, "U2": u2, "element": compressibility_witness(x0, 2, u1, u2)}, []),
+        ({"U1": u1, "U2": u2, "element": identity(V2)}, ["image of U1 inside U2"]),
+        ({"U1": u1, "U2": clp(V2, "00", "11"), "element": compressibility_witness(x0, 2, u1, u2)},
+         ["U1, U2 avoid the point"]),
+        ({"U1": u1, "U2": u2, "element": t2("00 01", "01 00", "10 11", "11 10")},
+         ["element fixes a neighborhood of the point"]),
+        ({"U1": u1, "U2": u2b, "U3": u3, "element": compressibility_witness(x0, 3, u1, u2b, u3)}, []),
+        ({"U1": u1, "U2": u2b, "U3": u3, "element": t2("0 0", "10 111", "110 110", "111 10")},
+         ["image of U1 misses U3"]),
+        ({"U1": u1, "U2": u2b, "U3": u3, "element": t2("0 0", "10 10", "110 111", "111 110")},
+         ["support misses U2"]),
+        ({"U1": u1, "U2": u1, "U3": u3, "element": identity(V2)}, ["U1 and U2 disjoint"]),
+        ({"U1": u1, "U2": u2b, "U3": u3, "element": t2("00 01", "01 00", "1 1")},
+         ["element fixes a neighborhood of the point"]),
+        ({"U1": u1, "U2": u2b, "U3": clp(V2, "0"), "element": identity(V2)},
+         ["U1, U2, U3 avoid the point"]),
+    ]
+    for blocks, broken in cases:
+        params = {"condition": "1" if "output" in blocks else str(len(blocks) - 1), "point": "root:0 e(0)"}
+        w = parse_witness(format_witness(Witness("compressibility", params=params, blocks=blocks)))
+        claims = run_checks(w)
+        assert claims == compressibility_claims(w.blocks, w.params)
+        assert [what for ok, what in claims if not ok] == broken, (params["condition"], broken)

@@ -3,16 +3,20 @@
 import copy
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
-from bht.element import PrefixBijection, TableElement, canonicalize, closed_support, image_clopen
+from bht.element import (
+    PrefixBijection, TableElement, canonicalize, closed_support, compose_partial, image_clopen,
+)
 from bht.sampling import random_clopen
 from bht.space import Brick, Clopen, RationalPoint, SpaceSpec, binary_space, compose_cells
-from bht.textio import format_word
+from bht.textio import format_word, parse_point
 from bht.vembed import evaluate_embedding
 from bht.witness import vigor_case, vigor_witness
 
@@ -65,6 +69,13 @@ def assert_frozen_value(obj):
     with pytest.raises(TypeError):
         obj.extra = 1
     assert copy.deepcopy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
+
+
+def measure(space: SpaceSpec, bricks) -> Fraction:
+    """Total volume of the bricks, where each root has volume 1 and a brick
+    prod_j k_j^-|w_j|: a reference for coverage and disjointness."""
+    return sum((Fraction(1, math.prod(k ** len(w) for k, w in zip(space.kbar, b.words))) for b in bricks),
+               Fraction(0))
 
 
 def oracle_image(tbl: TableElement, root: int, words):
@@ -214,14 +225,54 @@ def section_words_levels(space, dim, boxes) -> list:
     return out
 
 
+def _factorint(m: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def invariant_factors_by_primes(orders) -> tuple[int, ...]:
+    """Reference for ``bht.abelian.AbelianGroup.factors``: split each order into
+    prime powers by trial division, then multiply the largest power of each
+    prime into the top factor, the next largest into the one below, and so on.
+    """
+    rank, by_prime = 0, {}
+    for d in orders:
+        d = abs(int(d))
+        if d == 0:
+            rank += 1
+        for p, e in _factorint(d).items():
+            by_prime.setdefault(p, []).append(p ** e)
+    for qs in by_prime.values():
+        qs.sort(reverse=True)
+    width = max((len(qs) for qs in by_prime.values()), default=0)
+    factors = [math.prod(qs[i] for qs in by_prime.values() if i < len(qs)) for i in range(width)]
+    return (0,) * rank + tuple(factors[::-1])
+
+
+def word_bisection(emb, u) -> PrefixBijection:
+    """The embedding's composite bisection Y -> cell(u), outermost letter applied last."""
+    got = PrefixBijection._wrap(emb.region.space, [(b, b) for b in emb.region.bricks])
+    for letter in reversed(u):
+        got = compose_partial(emb.s0 if letter == 0 else emb.s1, got)
+    return got
+
+
 def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
     """Reference for ``bht.vembed.evaluate_embedding``: every bisection on the
     way, and the whole table, goes through the validating constructors."""
     space = emb.region.space
     cells = []
     for d, r in v.cells:
-        there = PrefixBijection(space, emb.word_bisection(r.words[0]).cells)
-        back = PrefixBijection(space, [(t, s) for s, t in emb.word_bisection(d.words[0]).cells])
+        there = PrefixBijection(space, word_bisection(emb, r.words[0]).cells)
+        back = PrefixBijection(space, [(t, s) for s, t in word_bisection(emb, d.words[0]).cells])
         cells += PrefixBijection(space, compose_cells(there.cells, back.cells)).cells
     cells += [(b, b) for b in emb.region.complement().bricks]
     return canonicalize(TableElement(space, cells))
@@ -230,7 +281,7 @@ def evaluate_embedding_validated(emb, v: TableElement) -> TableElement:
 def transport(emb, binary_set: Clopen) -> Clopen:
     """The union of the embedding's cells named by a clopen of the binary space."""
     return Clopen(emb.region.space, [b for c in binary_set.bricks
-                                     for b in emb.word_bisection(c.words[0]).image.bricks])
+                                     for b in word_bisection(emb, c.words[0]).image.bricks])
 
 
 @dataclass(frozen=True)
@@ -551,4 +602,60 @@ def conjugate_claims(blocks: dict, params: dict) -> list:
     sets = [frozenset(t for t in points if _find(target, t) is not None) for target in targets]
     claims.append((all(not a & b for a, b in itertools.combinations(sets, 2)),
                    "targets pairwise disjoint"))
+    return claims
+
+
+# -- independent checker for ``compressibility`` witnesses ---------------------
+#
+# As in ``cycle_claims``, the tuples start at the roots and are split wherever a
+# set brick or a cell is deeper.  On each final tuple the element is a prefix
+# exchange, which fixes the tuple's cylinder when it maps the tuple to itself
+# and otherwise moves a dense part of it, so the closed support is the union of
+# the moved tuples.  The point is read on its tuple one letter deeper than every
+# brick and cell: that tuple lies in a set, or is moved, exactly when the point
+# lies in the set, or in the closed support.
+
+
+def compressibility_claims(blocks: dict, params: dict) -> list:
+    """The claims of a ``compressibility`` witness, as ``bht.verify`` lists
+    them, decided on word tuples without the library's set algebra."""
+    g = blocks["element"]
+    space = g.space
+    sets = {name: obj.bricks for name, obj in blocks.items() if name != "element"}
+
+    def holding(t):
+        return {name for name, bricks in sets.items() if _find(bricks, t) is not None}
+
+    def row(t):
+        # whether g moves t, the sets holding t and those holding g t
+        image = _apply(g.cells, t)
+        return image != t, holding(t), holding(image)
+
+    rows = _refined(space, [(root, ((),) * space.n) for root in range(space.r)], row)
+    bricks = [b for cell in g.cells for b in cell] + [b for s in sets.values() for b in s]
+    depth = [1 + max(len(b.words[j]) for b in bricks) for j in range(space.n)]
+    point = parse_point(params["point"], space)
+    x0 = (point.root, tuple(tuple(itertools.islice(itertools.chain(pre, itertools.cycle(per)), m))
+                            for (pre, per), m in zip(point.coords, depth)))
+    at_point = holding(x0)
+    fixes = (_apply(g.cells, x0) == x0, "element fixes a neighborhood of the point")
+    if int(params["condition"]) == 1:
+        return [
+            (all("output" in held for m, held, _ in rows if m), "support inside the subbase member"),
+            ("output" not in at_point, "subbase member avoids the point"),
+        ]
+    if int(params["condition"]) == 2:
+        return [
+            (all("U2" in image for _, held, image in rows if "U1" in held), "image of U1 inside U2"),
+            (not at_point & {"U1", "U2"}, "U1, U2 avoid the point"),
+            fixes,
+        ]
+    claims = [
+        (not any("U3" in image for _, held, image in rows if "U1" in held), "image of U1 misses U3"),
+        (not any("U2" in held for m, held, _ in rows if m), "support misses U2"),
+        (not any({"U1", "U2"} <= held for _, held, _ in rows), "U1 and U2 disjoint"),
+        fixes,
+    ]
+    if at_point & {"U1", "U2", "U3"}:
+        claims.append((False, "U1, U2, U3 avoid the point"))
     return claims
