@@ -77,7 +77,7 @@ def homology(space: SpaceSpec, i: int) -> AbelianGroup:
     """Degree-i homology: (Z/gZ)^C(n-1, i), independent of the root count."""
     if i < 0:
         raise DomainError("degree must be >= 0")
-    return AbelianGroup([space.g] * math.comb(space.n - 1, i))
+    return AbelianGroup([space.g] * math.comb(space.n - 1, i) if space.g > 1 else [])
 
 
 @dataclass(frozen=True, slots=True)

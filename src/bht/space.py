@@ -25,9 +25,13 @@ decision-tree stage depends only on the point set, never on the
 representation handed in, which makes the final form unique.  Bricks are
 finally sorted by root, then dimension-major with prefixes first.
 
-The meet of brick lists goes through :class:`BrickIndex`, a per-dimension
-prefix trie whose levels also keep their distinct word lengths, so a query
-looks a prefix of its word up only at a length some indexed word has.
+Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
+the one pairwise meet.  Set difference peels a brick down to its meet with
+the brick taken away, splitting off the siblings of every letter the meet
+has beyond it (:func:`brick_subtract`).  The meet of brick lists goes
+through :class:`BrickIndex`, a per-dimension prefix trie whose levels also
+keep their distinct word lengths, so a query looks a prefix of its word up
+only at a length some indexed word has.
 
 ``Clopen(...)`` checks its bricks against the space and runs only on bricks
 from outside (``textio.parse``, ``sampling`` and library callers).  Every
@@ -132,30 +136,18 @@ class Brick(NamedTuple):
     def depth(self) -> int:
         return sum(len(w) for w in self.words)
 
-    def contains(self, other: "Brick") -> bool:
-        return self.root == other.root and all(
-            _is_prefix(w, v) for w, v in zip(self.words, other.words)
-        )
-
-    def is_disjoint(self, other: "Brick") -> bool:
-        if self.root != other.root:
-            return True
-        return any(
-            not _is_prefix(w, v) and not _is_prefix(v, w)
-            for w, v in zip(self.words, other.words)
-        )
-
     def intersect(self, other: "Brick") -> "Brick | None":
+        """The brick where both meet, or None: in each dimension the longer
+        word must extend the shorter, and the meet has the longer."""
         if self.root != other.root:
             return None
         out = []
         for w, v in zip(self.words, other.words):
-            if _is_prefix(w, v):
-                out.append(v)
-            elif _is_prefix(v, w):
-                out.append(w)
-            else:
+            if len(w) < len(v):
+                w, v = v, w
+            if w[:len(v)] != v:
                 return None
+            out.append(w)
         return Brick(self.root, tuple(out))
 
     def extend(self, suffixes: tuple[Word, ...]) -> "Brick":
@@ -170,10 +162,6 @@ class Brick(NamedTuple):
 Cell = tuple[Brick, Brick]
 
 
-def _is_prefix(w: Word, v: Word) -> bool:
-    return len(w) <= len(v) and v[: len(w)] == w
-
-
 def subdivide(space: SpaceSpec, brick: Brick, dim: int) -> list[Brick]:
     """Split a brick into its k_dim one-letter refinements along ``dim``."""
     if not 0 <= dim < space.n:
@@ -182,25 +170,20 @@ def subdivide(space: SpaceSpec, brick: Brick, dim: int) -> list[Brick]:
 
 
 def brick_subtract(space: SpaceSpec, b: Brick, c: Brick) -> list[Brick]:
-    """Bricks covering b minus c, by recursive subdivision toward c."""
-    if b.is_disjoint(c):
+    """Bricks covering b minus c, pairwise disjoint.
+
+    b is peeled down to its meet with c, dimensions in order: each letter the
+    meet has beyond b splits off the k_j - 1 siblings of that letter.
+    """
+    meet = b.intersect(c)
+    if meet is None:
         return [b]
-    if c.contains(b):
-        return []
-    # b and c meet and c does not cover b, so c is strictly deeper in some
-    # dimension; split b there and recurse into the single meeting child.
-    for j in range(space.n):
-        if len(c.words[j]) > len(b.words[j]):
-            keep = c.words[j][len(b.words[j])]
-            out = []
-            for a in range(space.kbar[j]):
-                child = b.child(j, a)
-                if a == keep:
-                    out.extend(brick_subtract(space, child, c))
-                else:
-                    out.append(child)
-            return out
-    raise AssertionError("unreachable: overlapping bricks with equal depths")
+    out = []
+    for j, (w, m) in enumerate(zip(b.words, meet.words)):
+        for a in m[len(w):]:
+            out += [b.child(j, x) for x in range(space.kbar[j]) if x != a]
+            b = b.child(j, a)
+    return out
 
 
 def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) -> list[tuple[Word, ...]]:

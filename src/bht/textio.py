@@ -49,10 +49,14 @@ def parse_word(s: str, line: int | None = None) -> Word:
         raise ParseError("bad word %r" % s, line) from None
 
 
-def format_space(space: SpaceSpec) -> str:
+def _spellable(space: SpaceSpec, line: int | None = None) -> SpaceSpec:
     if any(k > len(_DIGITS) for k in space.kbar):
-        raise ParseError("alphabet too large for the text format")
-    return str(space)
+        raise ParseError("alphabet too large for the text format", line)
+    return space
+
+
+def format_space(space: SpaceSpec) -> str:
+    return str(_spellable(space))
 
 
 def _parse_space_fields(rest: list[str], line: int) -> SpaceSpec:
@@ -66,11 +70,12 @@ def _parse_space_fields(rest: list[str], line: int) -> SpaceSpec:
         n = int(fields["n"])
         kbar = tuple(int(x) for x in fields["k"].split(","))
         r = int(fields["r"])
-        return SpaceSpec(n, kbar, r)
+        space = SpaceSpec(n, kbar, r)
     except DomainError as err:
         raise ParseError(str(err), line) from None
     except (KeyError, ValueError):
         raise ParseError("bad space header", line) from None
+    return _spellable(space, line)
 
 
 def _split_lines(text: str) -> list[tuple[int, str]]:

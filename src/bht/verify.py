@@ -12,7 +12,6 @@ from .element import (
     compose,
     equals,
     image_clopen,
-    invert,
     order,
 )
 from .errors import ParseError
@@ -145,7 +144,7 @@ def _check_conjugates(w: Witness) -> list[Check]:
         h = conjugators[i]
         checks.append(
             (
-                equals(conjugates[i], compose(compose(h, g), invert(h))),
+                equals(compose(conjugates[i], h), compose(h, g)),
                 "conjugate %d equals h g h^-1" % (i + 1),
             )
         )

@@ -10,6 +10,7 @@ and table built here is cut from checked objects and built with ``_wrap``,
 unchecked; ``bht.verify`` re-checks the stated postconditions.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .element import (
@@ -119,13 +120,13 @@ def bisection_between(a: Clopen, b: Clopen) -> PrefixBijection:
         if all(k - 1 != value for value, _ in coins):
             coins.append((k - 1, dim))
     na, nb = len(a.bricks), len(b.bricks)
-    for total in range(max(na, nb), max(na, nb) + 10000):
+    # na = nb (mod g) and the coins reach every large enough multiple of g,
+    # so the search ends
+    for total in itertools.count(max(na, nb)):
         steps_a = _coin_steps(total - na, coins)
         steps_b = _coin_steps(total - nb, coins)
         if steps_a is not None and steps_b is not None:
             break
-    else:
-        raise AssertionError("no common refinement count found")
     parts_a = _split_brick_list(space, a.bricks, steps_a)
     parts_b = _split_brick_list(space, b.bricks, steps_b)
     return PrefixBijection._wrap(space, list(zip(parts_a, parts_b)))
@@ -246,7 +247,7 @@ def conjugate_family(g: TableElement, count: int) -> ConjugateFamily:
     if is_identity(gc):
         raise DomainError("the identity has a single conjugate")
     d, r = next((d, r) for d, r in gc.cells if d != r)
-    if d.is_disjoint(r):
+    if d.intersect(r) is None:
         seed = d
     else:
         j = next(j for j in range(space.n) if d.words[j] != r.words[j])

@@ -10,7 +10,7 @@ import pytest
 import bht
 from bht.cli import main
 from bht.element import TableElement
-from bht.space import Clopen
+from bht.space import Clopen, SpaceSpec
 from bht.textio import (
     Witness,
     format_bisection,
@@ -158,6 +158,14 @@ def test_embed_v_command(capsys, tmp_path):
     wfile = write(tmp_path, "e.txt", out)
     code, out2, _ = run(capsys, "verify", wfile)
     assert code == 0 and "FAIL" not in out2
+    # the complement of this support is the one brick root:0 0, so the
+    # region adjoins a piece split from it
+    x = write(tmp_path, "x2.clp", "space n=1 k=3 r=2\nroot:0 1\nroot:0 2\nroot:1 e\n")
+    code, out, _ = run(capsys, "embed-v", "--space", "1,3,2", "--support", x)
+    region = clp(SpaceSpec(1, (3,), 2), "00", "1", "2", (1, "e"))
+    assert code == 0 and parse_witness(out).blocks["Y"] == region
+    code, out2, _ = run(capsys, "verify", write(tmp_path, "e2.txt", out))
+    assert code == 0 and "FAIL" not in out2
 
 
 def test_v_elements_in_vpair_form_with_comments(capsys, tmp_path):
@@ -206,6 +214,8 @@ def test_table_commands(capsys):
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "--porcelain", "homology", "--space", "2,3,5", "--degree", "1")
     assert code == 0 and "group=Z_2" in out
+    code, out, _ = run(capsys, "--porcelain", "characters", "--space", "2,4,1")
+    assert (code, out) == (0, "count=1\nfamilies=1x3\ndual=Z_3\n")
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -224,13 +234,31 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "abelianization", "--space", "2,3,5,1")
     assert code == 1 and "not" in err
     # a --space value that describes no space is a parse error, as in a header
-    for space in ("0,2,1", "1,1,1", "1,2,0", "2,3,2,0"):
+    for space, error in (("0,2,1", "dimension count must be >= 1"),
+                         ("1,1,1", "every alphabet size must be >= 2"),
+                         ("1,2,0", "root count must be >= 1"),
+                         ("2,3,2,0", "root count must be >= 1"),
+                         ("2,x,1", "space must be a comma-separated list of integers"),
+                         ("1,2", "space must be 'n,k,r' or 'n,k_1,...,k_n,r'")):
         code, out, err = run(capsys, "homology", "--space", space, "--degree", "0")
-        assert (code, out) == (2, "") and err.startswith("parse error: "), space
+        assert (code, out, err) == (2, "", "parse error: %s\n" % error), space
+    missing = str(tmp_path / "missing.clp")
+    code, out, err = run(capsys, "double", missing)
+    assert (code, out) == (2, "") and err.startswith("parse error: cannot read %s: " % missing)
+    # compressibility takes conditions 1-3, each with its own input count
+    for cond, inputs, error in (("4", [a], "condition must be 1, 2 or 3"),
+                                ("2", [a], "condition 2 needs two clopen files"),
+                                ("1", [], "condition 1 needs one table file")):
+        code, out, err = run(capsys, "compressibility", "--point", "root:0 e(0)", "--cond", cond, *inputs)
+        assert (code, out, err) == (2, "", "parse error: %s\n" % error), cond
     # a file of the wrong kind is refused at its header line
     part = write(tmp_path, "b.bis", format_bisection(compress(clp(V2, "0"), V2.full())))
     table = write(tmp_path, "t.tbl", format_table(TableElement(V2, [(B(0, "e"), B(0, "e"))])))
-    for argv in (["invert", part], ["double", table]):
+    # an alphabet that base-36 digits cannot spell is refused at the header
+    big = write(tmp_path, "big.clp", "space n=1 k=37 r=1\nroot:0 0\n")
+    big_table = write(tmp_path, "big.tbl", "table n=1 k=40 r=1\nroot:0 e -> root:0 e\n")
+    for argv in (["invert", part], ["double", table], ["double", big], ["invert", big_table],
+                 ["order", "--max", "3", big_table]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("parse error: line 1: "), argv
 
@@ -463,7 +491,9 @@ def test_verify_rejects_mutations_across_kinds(capsys, tmp_path):
     (["characters", "--space", "2,2305843009213693952,1"],
      "1 of order 2305843009213693951 (dual group Z_2305843009213693951)"),
     (["perfect", "--space", "3,2305843009213693952,1"], "false"),
-], ids=["homology", "abelianization", "characters", "perfect"])
+    # g = 1: the trivial group, not a list of C(59, 29) trivial summands
+    (["homology", "--space", "60,2,1", "--degree", "29"], "0"),
+], ids=["homology", "abelianization", "characters", "perfect", "trivial-homology"])
 def test_closed_forms_of_a_large_prime_alphabet_need_no_factoring(argv, expected):
     path = os.pathsep.join([str(Path(bht.__file__).resolve().parent.parent),
                             os.environ.get("PYTHONPATH", "")])

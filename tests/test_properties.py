@@ -22,8 +22,8 @@ from bht.sampling import (  # noqa: E402
     random_clopen, random_element, random_partition, random_permutation_element, random_point,
 )
 from bht.space import (  # noqa: E402
-    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, compose_cells, h0_class, merge_families,
-    point_in, subdivide,
+    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, brick_subtract, compose_cells, h0_class,
+    merge_families, point_in, subdivide,
 )
 from bht.textio import (  # noqa: E402
     Witness, format_clopen, format_point, format_table, format_witness, parse_witness,
@@ -252,16 +252,56 @@ def test_section_words_matches_levels(sb):
     assert _section_words(space, 0, boxes) == section_words_levels(space, 0, boxes)
 
 
+@st.composite
+def brick_pairs(draw):
+    """A space and two bricks; the second is drawn alone or cut from the first
+    by shortening and lengthening its words, so that most pairs meet."""
+    space = draw(st.sampled_from(INDEX_SPACES))
+    b = draw(bricks(space))
+    if draw(st.booleans()):
+        return space, b, draw(bricks(space))
+    words = tuple(w[:draw(st.integers(0, len(w)))] + tuple(draw(st.lists(st.integers(0, k - 1), max_size=2)))
+                  for w, k in zip(b.words, space.kbar))
+    return space, b, Brick(b.root, words)
+
+
+@SETTINGS
+@given(brick_pairs(), st.randoms(use_true_random=False))
+def test_brick_meet_and_subtract_match_points(pair, rng):
+    # a word tuple one letter deeper than both bricks lies wholly inside or
+    # wholly outside each brick here, so it stands for the points that
+    # start with it
+    space, b, c = pair
+    meet, pieces = b.intersect(c), brick_subtract(space, b, c)
+    lengths = [max(len(v), len(w)) + 1 for v, w in zip(b.words, c.words)]
+
+    def inside(t, x):
+        return t[0] == x.root and all(u[:len(w)] == w for u, w in zip(t[1], x.words))
+
+    for i in range(40):
+        # half of the tuples start with b's words
+        start = b if i % 2 else Brick(rng.randrange(space.r), ((),) * space.n)
+        t = (start.root, tuple(w + tuple(rng.randrange(k) for _ in range(m - len(w)))
+                               for w, k, m in zip(start.words, space.kbar, lengths)))
+        assert (inside(t, b) and inside(t, c)) == (meet is not None and inside(t, meet))
+        assert not any(inside(t, p) and inside(t, c) for p in pieces)
+        # b is the disjoint union of the pieces and the meet
+        count = sum(inside(t, p) for p in pieces) + (meet is not None and inside(t, meet))
+        assert count == inside(t, b)
+
+
 @SETTINGS
 @given(st.sampled_from(INDEX_SPACES).flatmap(
     lambda sp: st.tuples(nested_bricks(sp, 10), st.lists(bricks(sp), max_size=6))))
 def test_brick_index_meeting_matches_brute_force(sides):
+    # b.intersect(q) is checked against points in
+    # test_brick_meet_and_subtract_match_points
     indexed, queries = sides
     index = BrickIndex(indexed)
     # words of every length from 0 to 4 sit on one level, and the queries
     # are both shorter and longer than the indexed words
     for q in queries + indexed:
-        assert sorted(index.meeting(q)) == [i for i, b in enumerate(indexed) if not b.is_disjoint(q)]
+        assert sorted(index.meeting(q)) == [i for i, b in enumerate(indexed) if b.intersect(q) is not None]
 
 
 @SETTINGS
@@ -277,7 +317,7 @@ def test_isdisjoint_matches_intersect(sides):
 def _pairwise_overlap(bricks):
     for i, b in enumerate(bricks):
         for b2 in bricks[i + 1:]:
-            if not b.is_disjoint(b2):
+            if b.intersect(b2) is not None:
                 return "source bricks overlap: %r, %r" % (b, b2)
     return None
 
@@ -498,7 +538,7 @@ def mutate_set_witness(space, blocks, mutation, rng):
     cells = list(blocks[name].cells)
     targets = [r for _, r in cells]
     swaps = [(i, s) for i, (_, r) in enumerate(cells) for s in siblings(space, r)
-             if all(s.is_disjoint(t) for t in targets)]
+             if all(s.intersect(t) is None for t in targets)]
     if mutation == "grow B":
         big = "X" if "X" in blocks else "B"
         blocks[big] = blocks[big].union(Clopen(space, blocks[big].complement().bricks[:1]))

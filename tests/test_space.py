@@ -54,7 +54,7 @@ def test_subdivide_partitions_parent():
         assert Clopen(space, children) == Clopen(space, [b])
         for i, c in enumerate(children):
             for d in children[i + 1:]:
-                assert c.is_disjoint(d)
+                assert c.intersect(d) is None
 
 
 def test_union_sibling_merge():

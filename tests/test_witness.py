@@ -139,6 +139,17 @@ def test_between_random_invariants():
     assert hits > 20
 
 
+def test_between_finds_a_common_count_far_above_both_counts():
+    # both sides have class 1 mod g = 2, and the first common count is
+    # 10003 = 1 + 10002 = 3 + 10000, 10000 past the larger side
+    space = SpaceSpec(2, (10001, 10003), 1)
+    a = Clopen(space, [Brick(0, ((0,), ()))])
+    b = Clopen(space, [Brick(0, ((letter,), ())) for letter in (1, 2, 3)])
+    out = bisection_between(a, b)
+    assert len(out.cells) == 10003
+    assert out.source == a and out.image == b
+
+
 def test_multisection_example():
     m = multisection(clp(V4, "0"), clp(V4, "1"), clp(V4, "2"))
     assert m.element.cells == (

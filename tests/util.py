@@ -123,7 +123,7 @@ def refine(g: TableElement, rng) -> TableElement:
 def compose_cells_all_pairs(f_cells, g_cells) -> list:
     """Reference for ``bht.space.compose_cells``: meet every g-target with every f-source."""
     def suffixes(meet, outer):
-        assert outer.contains(meet)
+        assert outer.intersect(meet) == meet
         return tuple(m[len(w):] for m, w in zip(meet.words, outer.words))
 
     cells = []
