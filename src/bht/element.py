@@ -10,7 +10,10 @@ Composition refines the middle partitions against each other and rereads the
 resulting cells, so the group law is exact.  Both that meet and the
 disjointness check on construction look bricks up in a
 :class:`bht.space.BrickIndex`, a per-dimension prefix index, and so visit
-only pairs of bricks that really meet.
+only pairs of bricks that really meet.  Every composite, image, meet of
+clopens and word-problem test reads its cells from
+:func:`bht.space.compose_cells`, which builds each cell in one pass and
+keeps the bricks of an exact meet (a target of g that is a source of f).
 
 Validate input, not results: the constructors of both classes check cells
 from outside (``textio.parse``, ``sampling``, library callers); whatever the

@@ -31,7 +31,10 @@ the brick taken away, splitting off the siblings of every letter the meet
 has beyond it (:func:`brick_subtract`).  The meet of brick lists goes
 through :class:`BrickIndex`, a per-dimension prefix trie whose levels also
 keep their distinct word lengths, so a query looks a prefix of its word up
-only at a length some indexed word has.
+only at a length some indexed word has.  :func:`compose_cells` builds the
+cell of each meet it finds in one pass over the dimensions, and an exact
+meet, where the two middle bricks are equal, reuses the outer bricks as
+they are.
 
 ``Clopen(...)`` checks its bricks against the space and runs only on bricks
 from outside (``textio.parse``, ``sampling`` and library callers).  Every
@@ -129,8 +132,8 @@ class Brick(NamedTuple):
             raise DomainError("root %d out of range" % self.root)
         if len(self.words) != space.n:
             raise DomainError("brick has %d words, expected %d" % (len(self.words), space.n))
-        for j, w in enumerate(self.words):
-            if any(not 0 <= a < space.kbar[j] for a in w):
+        for j, (w, k) in enumerate(zip(self.words, space.kbar)):
+            if w and (min(w) < 0 or max(w) >= k):
                 raise DomainError("letter out of range in dimension %d" % j)
 
     def depth(self) -> int:
@@ -149,9 +152,6 @@ class Brick(NamedTuple):
                 return None
             out.append(w)
         return Brick(self.root, tuple(out))
-
-    def extend(self, suffixes: tuple[Word, ...]) -> "Brick":
-        return Brick(self.root, tuple(w + s for w, s in zip(self.words, suffixes)))
 
     def child(self, dim: int, letter: int) -> "Brick":
         words = list(self.words)
@@ -420,21 +420,32 @@ def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[
 
     The sources of f go into a :class:`BrickIndex` and each target of g is
     looked up there, so only pairs that meet are visited.  Each meet is
-    pulled back through g and pushed forward through f: in every dimension
-    one of the two words extends the other, and the meet's word is the
-    longer one, so each side is extended by what the other word has beyond
-    it.  Cells are yielded lazily, in the order of g, so a caller may stop
-    at the first one it needs.  A clopen enters as the partial identity with
-    cells ``(b, b)``.
+    pulled back through g and pushed forward through f in one pass over the
+    dimensions: in each one the deeper of the two middle words is the
+    meet's, so the side of the shallower word is extended by what the deeper
+    one has beyond it and the other side keeps its word.  An exact meet (the
+    target of g is the source of f) extends nothing, so its cell is the pair
+    of outer bricks as they are.  Cells are yielded lazily, in the order of
+    g, so a caller may stop at the first one it needs.  A clopen enters as
+    the partial identity with cells ``(b, b)``.
     """
     f_cells = list(f_cells)
     index = BrickIndex(d for d, _ in f_cells)
     for gd, gr in g_cells:
         for i in index.meeting(gr):
             fd, fr = f_cells[i]
-            pairs = list(zip(gr.words, fd.words))
-            yield (gd.extend(tuple(v[len(w):] for w, v in pairs)),
-                   fr.extend(tuple(w[len(v):] for w, v in pairs)))
+            if fd == gr:
+                yield gd, fr
+                continue
+            dw, rw = [], []
+            for t, s, a, b in zip(gr.words, fd.words, gd.words, fr.words):
+                if len(t) < len(s):
+                    dw.append(a + s[len(t):])
+                    rw.append(b)
+                else:
+                    dw.append(a)
+                    rw.append(b + t[len(s):])
+            yield Brick(gd.root, tuple(dw)), Brick(fr.root, tuple(rw))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -30,6 +30,7 @@ from .errors import DomainError, ParseError
 from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word, binary_space
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_LETTERS = {c: a for a, c in enumerate(_DIGITS)}
 _HEADERS = {"space": Clopen, "table": TableElement, "bisection": PrefixBijection,
             "vpair": TableElement}
 
@@ -37,15 +38,15 @@ _HEADERS = {"space": Clopen, "table": TableElement, "bisection": PrefixBijection
 def format_word(w: Word) -> str:
     if not w:
         return "e"
-    return "".join(_DIGITS[a] for a in w)
+    return "".join(map(_DIGITS.__getitem__, w))
 
 
 def parse_word(s: str, line: int | None = None) -> Word:
     if s == "e":
         return ()
     try:
-        return tuple(_DIGITS.index(c) for c in s)
-    except ValueError:
+        return tuple(map(_LETTERS.__getitem__, s))
+    except KeyError:
         raise ParseError("bad word %r" % s, line) from None
 
 

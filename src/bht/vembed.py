@@ -16,7 +16,6 @@ with the same three parts; :func:`evaluate_embedding` composes the bisection
 of each word suffix it needs once per call.
 """
 
-import functools
 from dataclasses import dataclass
 
 from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity
@@ -99,12 +98,16 @@ def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
     v.space.check_same(binary_space())
     space = emb.region.space
 
-    @functools.cache
+    # Y -> cell(u) is s_u[0] after Y -> cell(u[1:]), so words share suffixes
+    memo = {(): PrefixBijection._wrap(space, [(b, b) for b in emb.region.bricks])}
+
     def word_bisection(u: Word) -> PrefixBijection:
-        # Y -> cell(u) is s_u[0] after Y -> cell(u[1:]), so words share suffixes
-        if not u:
-            return PrefixBijection._wrap(space, [(b, b) for b in emb.region.bricks])
-        return compose_partial(emb.s1 if u[0] else emb.s0, word_bisection(u[1:]))
+        j = 0
+        while u[j:] not in memo:
+            j += 1
+        for i in range(j - 1, -1, -1):
+            memo[u[i:]] = compose_partial(emb.s1 if u[i] else emb.s0, memo[u[i + 1:]])
+        return memo[u]
 
     cells = []
     for d, r in v.cells:

@@ -139,6 +139,7 @@ def _check_conjugates(w: Witness) -> list[Check]:
     conjugates = [_need(w, "conjugate%d" % i, TableElement) for i in range(1, count + 1)]
     conjugators = [_need(w, "conjugator%d" % i, TableElement) for i in range(1, count + 1)]
     targets = [_need(w, "target%d" % i) for i in range(1, count + 1)]
+    inside = [image_clopen(c, moved).issubset(t) for c, t in zip(conjugates, targets)]
     checks = []
     for i in range(count):
         h = conjugators[i]
@@ -148,23 +149,20 @@ def _check_conjugates(w: Witness) -> list[Check]:
                 "conjugate %d equals h g h^-1" % (i + 1),
             )
         )
-        checks.append(
-            (
-                image_clopen(conjugates[i], moved).issubset(targets[i]),
-                "conjugate %d maps the moved brick into its target" % (i + 1),
-            )
-        )
-    distinct = all(
-        not equals(conjugates[i], conjugates[j])
-        for i in range(count)
-        for j in range(i + 1, count)
-    )
-    checks.append((distinct, "conjugates pairwise distinct"))
+        checks.append((inside[i], "conjugate %d maps the moved brick into its target" % (i + 1)))
     disjoint = all(
         targets[i].isdisjoint(targets[j])
         for i in range(count)
         for j in range(i + 1, count)
     )
+    # two conjugates send a point of ``moved`` into disjoint targets, so they
+    # differ; only when that argument fails are they compared
+    distinct = (not moved.is_empty() and all(inside) and disjoint) or all(
+        not equals(conjugates[i], conjugates[j])
+        for i in range(count)
+        for j in range(i + 1, count)
+    )
+    checks.append((distinct, "conjugates pairwise distinct"))
     checks.append((disjoint, "targets pairwise disjoint"))
     return checks
 

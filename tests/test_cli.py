@@ -150,10 +150,10 @@ def test_compressibility_commands(capsys, tmp_path):
 
 
 def test_embed_v_command(capsys, tmp_path):
-    x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
+    x1 = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
     v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
     vfile = write(tmp_path, "v.vpair", vpair_text(v))
-    code, out, _ = run(capsys, "embed-v", "--space", "1,3,1", "--support", x, vfile)
+    code, out, _ = run(capsys, "embed-v", "--space", "1,3,1", "--support", x1, vfile)
     assert code == 0
     wfile = write(tmp_path, "e.txt", out)
     code, out2, _ = run(capsys, "verify", wfile)
@@ -165,6 +165,16 @@ def test_embed_v_command(capsys, tmp_path):
     region = clp(SpaceSpec(1, (3,), 2), "00", "1", "2", (1, "e"))
     assert code == 0 and parse_witness(out).blocks["Y"] == region
     code, out2, _ = run(capsys, "verify", write(tmp_path, "e2.txt", out))
+    assert code == 0 and "FAIL" not in out2
+    # a V table that swaps 0^L 0 and 0^L 1 and fixes every 0^i 1 names
+    # words of L + 1 letters, more than one stack frame per letter allows
+    L = 600
+    deep = TableElement(binary_space(), [(B(0, "0" * i + "1"), B(0, "0" * i + "1")) for i in range(L)]
+                        + [(B(0, "0" * L + "0"), B(0, "0" * L + "1")), (B(0, "0" * L + "1"), B(0, "0" * L + "0"))])
+    vfile = write(tmp_path, "deep.vpair", vpair_text(deep))
+    code, out, _ = run(capsys, "embed-v", "--space", "1,3,1", "--support", x1, vfile)
+    assert code == 0
+    code, out2, _ = run(capsys, "verify", write(tmp_path, "e3.txt", out))
     assert code == 0 and "FAIL" not in out2
 
 

@@ -23,7 +23,7 @@ from bht.element import (
 from bht.cli import main
 from bht.errors import DomainError, SpaceMismatchError
 from bht.sampling import random_clopen, random_element, random_permutation_element
-from bht.space import Brick, Clopen, SpaceSpec, compose_cells
+from bht.space import Brick, BrickIndex, Clopen, SpaceSpec, compose_cells
 from bht.textio import format_clopen
 from util import (
     B, V2, V3, V23, V2x2, assert_frozen_value, clp, compose_cells_all_pairs, oracle_agree,
@@ -87,16 +87,18 @@ def test_compose_derived_against_oracle():
 
 
 def test_compose_meets_only_overlapping_bricks(monkeypatch):
-    # counts pairwise brick tests instead of timing: an all-pairs meet of
-    # these two 161-cell tables would make 161^2 of them
+    # counts the index lookups and the sources they return instead of
+    # timing: an all-pairs meet of these two 161-cell tables would visit
+    # 161^2 pairs of bricks, and each pair found here makes one cell
     rng = random.Random(160)
     f, g = (random_permutation_element(V2, rng, splits=160) for _ in range(2))
     cells_out = len(list(compose_cells(f.cells, g.cells)))
-    calls = []
-    meet = Brick.intersect
-    monkeypatch.setattr(Brick, "intersect", lambda b, c: calls.append(1) or meet(b, c))
+    found = []
+    meeting = BrickIndex.meeting
+    monkeypatch.setattr(BrickIndex, "meeting", lambda index, b: found.append(meeting(index, b)) or found[-1])
     fg = compose(f, g)
-    assert len(calls) <= 2 * cells_out
+    assert len(found) == len(g.cells)
+    assert sum(len(hits) for hits in found) == cells_out
     assert equals(fg, TableElement(V2, compose_cells_all_pairs(f.cells, g.cells)))
 
 

@@ -165,6 +165,34 @@ def test_compose_cells_matches_all_pairs(sides):
     assert Counter(compose_cells(f, g)) == Counter(compose_cells_all_pairs(f, g))
 
 
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES), st.randoms(use_true_random=False))
+def test_compose_cells_of_exact_meets_match_all_pairs(space, rng):
+    # every target of the raw inverse is a source of f, so every meet is exact
+    f = random_permutation_element(space, rng, splits=rng.randint(0, 12))
+    back = [(r, d) for d, r in f.cells]
+    cells = Counter(compose_cells(f.cells, back))
+    assert cells == Counter(compose_cells_all_pairs(f.cells, back))
+    assert cells == Counter((r, r) for _, r in f.cells)
+
+
+@SETTINGS
+@given(st.sampled_from([sp for sp in INDEX_SPACES if sp.n > 1]), st.randoms(use_true_random=False))
+def test_compose_cells_of_mixed_meets_match_all_pairs(space, rng):
+    # g's targets split a partition along dimension 0 and f's sources split
+    # it along a higher dimension j, so in every meet g's target is deeper in
+    # dimension 0 and f's source in dimension j
+    j = rng.randrange(1, space.n)
+    parts = random_partition(space, rng, splits=rng.randint(0, 6))
+    targets = [c for b in parts for c in subdivide(space, b, 0)]
+    sources = [c for b in parts for c in subdivide(space, b, j)]
+    g = list(zip(rng.sample(targets, len(targets)), targets))
+    f = list(zip(sources, rng.sample(sources, len(sources))))
+    cells = Counter(compose_cells(f, g))
+    assert cells == Counter(compose_cells_all_pairs(f, g))
+    assert sum(cells.values()) == len(parts) * space.kbar[0] * space.kbar[j]
+
+
 def crossed_families(space, rng, parts):
     """``parts`` with one brick b replaced by a piece of b where a family along
     dimension 0 and one along a higher dimension j need the same cell.

@@ -13,7 +13,7 @@ from bht.space import (
     point_in,
     subdivide,
 )
-from util import B, V2, V3, V23, V2x2, assert_frozen_value, clp, measure, pt
+from util import B, V2, V3, V23, V2x2, assert_frozen_value, clp, extend, measure, pt
 
 
 def test_space_validation():
@@ -194,7 +194,7 @@ def _cells_at_profile(space, brick, profile):
     for j in range(space.n):
         need = profile[j] - len(brick.words[j])
         pools.append([tuple(w) for w in itertools.product(range(space.kbar[j]), repeat=need)])
-    return {brick.extend(s) for s in itertools.product(*pools)}
+    return {extend(brick, s) for s in itertools.product(*pools)}
 
 
 def test_canonicalization_exhaustive_small_grid():

@@ -493,6 +493,10 @@ def test_each_conjugates_claim_fails_alone_under_some_mutation():
         ({"conjugate1": compose(c1, h1)}, ["conjugate 1 equals h g h^-1"]),
         ({"target1": V2.empty()}, ["conjugate 1 maps the moved brick into its target"]),
         ({"moved": V2.empty(), "conjugate2": c1, "conjugator2": h1}, ["conjugates pairwise distinct"]),
+        # equal conjugates whose targets overlap: disjoint images cannot tell
+        # them apart, so they are compared
+        ({"conjugate2": c1, "conjugator2": h1, "target2": t2.union(t1)},
+         ["conjugates pairwise distinct", "targets pairwise disjoint"]),
         ({"target2": t2.union(t1)}, ["targets pairwise disjoint"]),
     ]
     for change, broken in cases:

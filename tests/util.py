@@ -78,6 +78,11 @@ def measure(space: SpaceSpec, bricks) -> Fraction:
                Fraction(0))
 
 
+def extend(brick: Brick, suffixes) -> Brick:
+    """The brick whose word in dimension j is ``brick``'s followed by ``suffixes[j]``."""
+    return Brick(brick.root, tuple(w + s for w, s in zip(brick.words, suffixes)))
+
+
 def oracle_image(tbl: TableElement, root: int, words):
     """Independent action oracle: route a deep word tuple through the raw cells."""
     for d, r in tbl.cells:
@@ -131,7 +136,7 @@ def compose_cells_all_pairs(f_cells, g_cells) -> list:
         for fd, fr in f_cells:
             meet = gr.intersect(fd)
             if meet is not None:
-                cells.append((gd.extend(suffixes(meet, gr)), fr.extend(suffixes(meet, fd))))
+                cells.append((extend(gd, suffixes(meet, gr)), extend(fr, suffixes(meet, fd))))
     return cells
 
 
