@@ -7,13 +7,18 @@ clopen sets.  A :class:`TableElement` is the full case (source = target =
 whole space): an element of the prefix-exchange group of the space.
 
 Composition refines the middle partitions against each other and rereads the
-resulting cells, so the group law is exact.  Both that meet and the
-disjointness check on construction look bricks up in a
-:class:`bht.space.BrickIndex`, a per-dimension prefix index, and so visit
-only pairs of bricks that really meet.  Every composite, image, meet of
+resulting cells, so the group law is exact.  Every composite, image, meet of
 clopens and word-problem test reads its cells from
-:func:`bht.space.compose_cells`, which builds each cell in one pass and
-keeps the bricks of an exact meet (a target of g that is a source of f).
+:func:`bht.space.compose_cells`, which visits only pairs of bricks that
+really meet, builds each cell in one pass and keeps the bricks of an exact
+meet (a target of g that is a source of f).  In one dimension the
+disjointness check on construction first tests the sorted neighbours: two
+bricks meet only when one word is a prefix of the other, and every brick
+sorted between them extends the shorter, so a list whose sorted neighbours
+are disjoint is disjoint.  A list with an overlap, and every list in more
+dimensions, is looked up brick by brick in a
+:class:`bht.space.BrickIndex`, so the error names the first brick of the
+list, in the order given, that meets another, and its first partner.
 
 Validate input, not results: the constructors of both classes check cells
 from outside (``textio.parse``, ``sampling``, library callers); whatever the
@@ -32,14 +37,23 @@ from typing import Iterable
 
 from .errors import DomainError
 from .space import (
-    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families,
+    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, _inside, compose_cells, merge_families,
 )
 
 
 def _check_disjoint(side: str, bricks: list[Brick]):
-    """Raise on the first brick that meets another, naming its first partner."""
+    """Raise on the first brick that meets another, naming its first partner.
+
+    In one dimension a list whose sorted neighbours are disjoint is disjoint
+    (see the module docstring) and passes at once.  Two neighbours meet when
+    the later lies in the earlier.
+    """
     if len(bricks) < 2:
         return
+    if len(bricks[0].words) == 1:
+        ordered = sorted(bricks)
+        if not any(map(_inside, ordered[1:], ordered)):
+            return
     index = BrickIndex(bricks)
     for i, b in enumerate(bricks):
         hits = index.meeting(b)

@@ -7,10 +7,33 @@ dimension; bricks are the basic compact open sets.  A :class:`Clopen` is a
 finite disjoint union of bricks kept in a canonical form, so two values
 compare equal exactly when they denote the same point set.
 
-Canonical form: the brick list is rebuilt as a dimension-major decision tree
-(split a dimension only where the set genuinely depends on it, lowest
-dimension first), and then complete sibling families are merged by
-:func:`merge_families`, the kernel that also normalises prefix-exchange
+One dimension is a sorted sweep.  For n = 1 (the Higman-Thompson groups
+V_{k,r}) a sorted list of disjoint bricks is a prefix code, ordered by root
+and then by word with prefixes first.  Every word that sorts between a word
+u and an extension of u also extends u.  So the bricks of one sibling family
+are adjacent, the only brick that can be a proper prefix of a word w is the
+one sorted just before w, and the bricks that extend w form one run, from w
+up to ``w + (inf,)``.  The four kernels rest on this:
+
+- :func:`compose_cells` sorts f's cells and finds each target of g among
+  f's sources with two bisections;
+- :func:`merge_families` runs one stack over the sorted cells and replaces
+  the k cells of each complete family by their parent, which sorts where
+  they were;
+- :func:`canonical_bricks` sorts the bricks, drops each one that lies in the
+  last brick it kept, and runs the same stack;
+- ``element._check_disjoint`` accepts at once a list whose sorted
+  neighbours are disjoint.
+
+For n >= 2 dimension-major order does not keep siblings adjacent (with the
+sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
+dimension 0 puts ``(0, 1)`` between its children), so these spaces keep the
+kernels below.
+
+Canonical form for n >= 2: the brick list is rebuilt as a dimension-major
+decision tree (split a dimension only where the set genuinely depends on
+it, lowest dimension first), and then complete sibling families are merged
+by :func:`merge_families`, the kernel that also normalises prefix-exchange
 tables in :mod:`bht.element` (a brick is passed as the cell ``(b, b)``).  The
 tree is built per branching node, not per letter: each node sorts its boxes
 into its children in one pass, reading the letter at its depth from the
@@ -19,22 +42,21 @@ whole word; a node holding one box and nothing that covers it is that box
 and the sections of each covering set are computed once per call.  The
 merge kernel is a worklist: it buckets the cells by family once, per
 dimension, and each merge touches only the buckets of the cells it removes
-and adds.  In one dimension the tree has already merged every complete
-family, and a lone brick is in none, so the merge is skipped there.  The
-decision-tree stage depends only on the point set, never on the
-representation handed in, which makes the final form unique.  Bricks are
-finally sorted by root, then dimension-major with prefixes first.
+and adds.  The decision-tree stage depends only on the point set, never on
+the representation handed in, which makes the final form unique.  In every
+dimension count, bricks are finally sorted by root, then dimension-major
+with prefixes first.
 
 Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
 the one pairwise meet.  Set difference peels a brick down to its meet with
 the brick taken away, splitting off the siblings of every letter the meet
-has beyond it (:func:`brick_subtract`).  The meet of brick lists goes
-through :class:`BrickIndex`, a per-dimension prefix trie whose levels also
-keep their distinct word lengths, so a query looks a prefix of its word up
-only at a length some indexed word has.  :func:`compose_cells` builds the
-cell of each meet it finds in one pass over the dimensions, and an exact
-meet, where the two middle bricks are equal, reuses the outer bricks as
-they are.
+has beyond it (:func:`brick_subtract`).  For n >= 2 the meet of brick lists
+goes through :class:`BrickIndex`, a per-dimension prefix trie whose levels
+also keep their distinct word lengths, so a query looks a prefix of its
+word up only at a length some indexed word has.  :func:`compose_cells`
+builds the cell of each meet it finds in one pass over the dimensions, and
+an exact meet, where the two middle bricks are equal, reuses the outer
+bricks as they are.
 
 ``Clopen(...)`` checks its bricks against the space and runs only on bricks
 from outside (``textio.parse``, ``sampling`` and library callers).  Every
@@ -285,7 +307,12 @@ def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
     Families along different dimensions may share cells, so it then merges
     only the smallest complete parent of the lowest such dimension and goes
     back to dimension 0, which keeps the result deterministic.
+
+    In one dimension the cells are sorted and go through the family stack
+    (see :func:`_family_stack`) instead.
     """
+    if space.n == 1:
+        return _family_stack(space.kbar[0], sorted(cells))
     kbar = space.kbar
     dims = range(space.n)
     # live cell -> its family key per dimension (None outside any family)
@@ -338,8 +365,52 @@ def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
             return sorted(live)
 
 
+def _inside(b: Brick, a: Brick) -> bool:
+    """Whether the one-dimensional brick b lies in a: the roots agree and a's
+    word is a prefix of b's."""
+    w = a.words[0]
+    return b.root == a.root and b.words[0][:len(w)] == w
+
+
+def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
+    """:func:`merge_families` in one dimension, over cells sorted by source.
+
+    A cell may complete a family only when its source and target both end in
+    the last letter k - 1, and then the family's other cells are the k - 1
+    cells just below it on the stack.  Those k cells give way to their
+    parent, which sorts where they were and may complete a family in turn,
+    so the stack is always the sorted, merged form of the cells read so far.
+    """
+    last = k - 1
+    stack: list[Cell] = []
+    for cell in cells:
+        d, r = cell
+        dw, rw = d.words[0], r.words[0]
+        while dw and rw and dw[-1] == last == rw[-1]:
+            dp, rp = dw[:-1], rw[:-1]
+            if stack[-last:] != [((d.root, (dp + (a,),)), (r.root, (rp + (a,),))) for a in range(last)]:
+                break
+            del stack[-last:]
+            d, r, dw, rw = Brick(d.root, (dp,)), Brick(r.root, (rp,)), dp, rp
+            cell = (d, r)
+        stack.append(cell)
+    return stack
+
+
 def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
-    """Canonical representative of the union of ``bricks`` (overlaps allowed)."""
+    """Canonical representative of the union of ``bricks`` (overlaps allowed).
+
+    In one dimension the bricks are sorted, each brick inside the last one
+    kept is dropped, which leaves the maximal bricks, and the family stack
+    merges what remains.  In more dimensions the section tree builds the
+    union and :func:`merge_families` merges its families.
+    """
+    if space.n == 1:
+        kept: list[Brick] = []
+        for b in sorted(bricks):
+            if not (kept and _inside(b, kept[-1])):
+                kept.append(b)
+        return tuple(d for d, _ in _family_stack(space.kbar[0], [(b, b) for b in kept]))
     by_root: dict[int, list[tuple[Word, ...]]] = {}
     for b in bricks:
         by_root.setdefault(b.root, []).append(b.words)
@@ -348,10 +419,9 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
         for root, boxes in by_root.items()
         for words in _section_words(space, 0, boxes)
     ]
-    if space.n == 1 or len(sectioned) < 2:
-        # the one-dimensional section tree has merged every complete family,
-        # and a lone brick is in no family
-        return tuple(sorted(sectioned))
+    if len(sectioned) < 2:
+        # a lone brick is in no family
+        return tuple(sectioned)
     return tuple(b for b, _ in merge_families(space, ((b, b) for b in sectioned)))
 
 
@@ -418,10 +488,15 @@ class BrickIndex:
 def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
     """Cells of the partial map f after g, one per meeting g-target and f-source.
 
-    The sources of f go into a :class:`BrickIndex` and each target of g is
-    looked up there, so only pairs that meet are visited.  Each meet is
-    pulled back through g and pushed forward through f in one pass over the
-    dimensions: in each one the deeper of the two middle words is the
+    Only pairs that meet are visited.  In one dimension f's cells are sorted
+    (in linear time when they already are, as every table keeps them) and
+    each target of g is found among the sources by two bisections: its
+    proper prefixes are the source sorted just before it and, only when f's
+    sources overlap, the sources holding that one; its extensions are one
+    run.  In more dimensions the sources of f go into a
+    :class:`BrickIndex` and each target of g is looked up there.  Each meet
+    is pulled back through g and pushed forward through f in one pass over
+    the dimensions: in each one the deeper of the two middle words is the
     meet's, so the side of the shallower word is extended by what the deeper
     one has beyond it and the other side keeps its word.  An exact meet (the
     target of g is the source of f) extends nothing, so its cell is the pair
@@ -430,6 +505,47 @@ def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[
     the partial identity with cells ``(b, b)``.
     """
     f_cells = list(f_cells)
+    if f_cells and len(f_cells[0][0].words) == 1:
+        return _compose_sorted(f_cells, g_cells)
+    return _compose_indexed(f_cells, g_cells)
+
+
+def _compose_sorted(f_cells: list[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
+    """:func:`compose_cells` in one dimension: a bisection sweep of f's sorted sources."""
+    f_cells.sort()
+    sources = [d for d, _ in f_cells]
+    # up[i]: the nearest source before the i-th that holds it, or -1.  It is
+    # -1 throughout when the sources are disjoint, as they are in every table
+    # and clopen; then the predecessor of a target is its only proper prefix.
+    up: list[int] = []
+    holders: list[int] = []
+    for i, d in enumerate(sources):
+        while holders and not _inside(d, sources[holders[-1]]):
+            holders.pop()
+        up.append(holders[-1] if holders else -1)
+        holders.append(i)
+    for gd, gr in g_cells:
+        t = gr.words[0]
+        lo = bisect_left(sources, gr)
+        i = lo - 1
+        while i >= 0 and not _inside(gr, sources[i]):
+            i = up[i]
+        # the sources that are proper prefixes of t, shortest first
+        prefixes = []
+        while i >= 0:
+            prefixes.append(i)
+            i = up[i]
+        for i in reversed(prefixes):
+            fd, fr = f_cells[i]
+            yield gd, Brick(fr.root, (fr.words[0] + t[len(fd.words[0]):],))
+        # t and its extensions sort in [t, t + (inf,))
+        for fd, fr in f_cells[lo:bisect_left(sources, (gr.root, (t + _PAST,)), lo)]:
+            s = fd.words[0]
+            yield (gd if len(s) == len(t) else Brick(gd.root, (gd.words[0] + s[len(t):],))), fr
+
+
+def _compose_indexed(f_cells: list[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
+    """:func:`compose_cells` in two or more dimensions, through a :class:`BrickIndex`."""
     index = BrickIndex(d for d, _ in f_cells)
     for gd, gr in g_cells:
         for i in index.meeting(gr):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import bht.space
 from bht.element import (
     PrefixBijection,
     TableElement,
@@ -87,11 +88,22 @@ def test_compose_derived_against_oracle():
 
 
 def test_compose_meets_only_overlapping_bricks(monkeypatch):
-    # counts the index lookups and the sources they return instead of
-    # timing: an all-pairs meet of these two 161-cell tables would visit
-    # 161^2 pairs of bricks, and each pair found here makes one cell
+    # counts the lookups instead of timing: an all-pairs meet of two 161-cell
+    # tables would visit 161^2 pairs of bricks.  In one dimension each g cell
+    # costs two bisections of f's sorted sources, one for the source that
+    # may be a prefix of its target and one for the end of its extensions.
     rng = random.Random(160)
     f, g = (random_permutation_element(V2, rng, splits=160) for _ in range(2))
+    probes = []
+    bisect_left = bht.space.bisect_left
+    monkeypatch.setattr(bht.space, "bisect_left", lambda *a: probes.append(a) or bisect_left(*a))
+    fg = compose(f, g)
+    monkeypatch.undo()
+    assert len(probes) == 2 * len(g.cells)
+    assert equals(fg, TableElement(V2, compose_cells_all_pairs(f.cells, g.cells)))
+    # in two dimensions each g cell is one index lookup, and each pair it
+    # finds makes one cell
+    f, g = (random_permutation_element(V2x2, rng, splits=160) for _ in range(2))
     cells_out = len(list(compose_cells(f.cells, g.cells)))
     found = []
     meeting = BrickIndex.meeting
@@ -99,7 +111,7 @@ def test_compose_meets_only_overlapping_bricks(monkeypatch):
     fg = compose(f, g)
     assert len(found) == len(g.cells)
     assert sum(len(hits) for hits in found) == cells_out
-    assert equals(fg, TableElement(V2, compose_cells_all_pairs(f.cells, g.cells)))
+    assert equals(fg, TableElement(V2x2, compose_cells_all_pairs(f.cells, g.cells)))
 
 
 def test_invert_examples():

@@ -22,8 +22,8 @@ from bht.sampling import (  # noqa: E402
     random_clopen, random_element, random_partition, random_permutation_element, random_point,
 )
 from bht.space import (  # noqa: E402
-    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, brick_subtract, compose_cells, h0_class,
-    merge_families, point_in, subdivide,
+    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, brick_subtract, canonical_bricks, compose_cells,
+    h0_class, merge_families, point_in, subdivide,
 )
 from bht.textio import (  # noqa: E402
     Witness, format_clopen, format_point, format_table, format_witness, parse_witness,
@@ -153,10 +153,14 @@ def nested_bricks(draw, space, max_size):
 
 
 INDEX_SPACES = [SpaceSpec(n, (2, 3, 2)[:n], r) for n in (1, 2, 3) for r in (1, 2)]
+# one dimension, where the kernels sweep sorted bricks; k = 3 and 5 give
+# families of more than two cells
+LINE_SPACES = [SpaceSpec(1, (k,), r) for k in (2, 3, 5) for r in (1, 2)]
 
 
-@SETTINGS
-@given(st.sampled_from(INDEX_SPACES).flatmap(
+# twice the examples, so that the spaces of two and three dimensions get as many as before
+@settings(SETTINGS, max_examples=2 * SETTINGS.max_examples)
+@given(st.sampled_from(INDEX_SPACES + LINE_SPACES).flatmap(
     lambda sp: st.tuples(nested_bricks(sp, 8), nested_bricks(sp, 8), nested_bricks(sp, 8))))
 def test_compose_cells_matches_all_pairs(sides):
     f_sources, targets, g_sources = sides
@@ -214,8 +218,9 @@ def crossed_families(space, rng, parts):
 
 @st.composite
 def raw_composites(draw):
-    """A space and the unmerged cells of a composite, as compose and image_clopen make them."""
-    space = draw(st.sampled_from(INDEX_SPACES))
+    """A space and the unmerged cells of a composite, as compose and image_clopen
+    make them, in any order."""
+    space = draw(st.sampled_from(INDEX_SPACES + LINE_SPACES))
     rng = draw(st.randoms(use_true_random=False))
     f = random_permutation_element(space, rng, splits=rng.randint(0, 12))
     g = rng.choice([random_permutation_element(space, rng, splits=rng.randint(0, 12)),
@@ -223,6 +228,8 @@ def raw_composites(draw):
     x = Clopen(space, draw(nested_bricks(space, 6)))
     choices = [
         list(compose_cells(f.cells, g.cells)),
+        # (f g) g^-1, which merges back to f
+        list(compose_cells(compose(f, g).cells, [(r, d) for d, r in g.cells])),
         # f after f^-1: a partition of identity cells that merges back to the roots
         list(compose_cells(f.cells, [(r, d) for d, r in f.cells])),
         list(compose_cells(g.cells, [(b, b) for b in x.bricks])),
@@ -231,14 +238,40 @@ def raw_composites(draw):
     if space.n > 1:
         crossed = crossed_families(space, rng, random_partition(space, rng, splits=rng.randint(0, 8)))
         choices += [[(b, b) for b in crossed], list(compose_cells(f.cells, [(b, b) for b in crossed]))]
-    return space, rng.choice(choices)
+    cells = rng.choice(choices)
+    rng.shuffle(cells)
+    return space, cells
 
 
-@SETTINGS
+# twice the examples, so that the spaces of two and three dimensions get as many as before
+@settings(SETTINGS, max_examples=2 * SETTINGS.max_examples)
 @given(raw_composites())
 def test_merge_families_matches_rounds(composite):
     space, cells = composite
     assert merge_families(space, cells) == merge_families_rounds(space, cells)
+
+
+@st.composite
+def line_bricks(draw):
+    """A one-dimensional space and nested, repeated bricks over its roots,
+    some of them cut into all their children or grandchildren."""
+    space = draw(st.sampled_from(LINE_SPACES))
+    out = []
+    for b in draw(nested_bricks(space, 8)):
+        parts = [b]
+        for _ in range(draw(st.integers(0, 2))):
+            parts = [c for p in parts for c in subdivide(space, p, 0)]
+        out += parts
+    return space, draw(st.permutations(out))
+
+
+@SETTINGS
+@given(line_bricks())
+def test_one_dimensional_canonical_bricks_match_section_tree(sb):
+    space, bs = sb
+    tree = [Brick(root, words) for root in range(space.r)
+            for words in section_words_levels(space, 0, [b.words for b in bs if b.root == root])]
+    assert canonical_bricks(space, bs) == tuple(sorted(tree))
 
 
 @SETTINGS
@@ -352,31 +385,34 @@ def _pairwise_overlap(bricks):
 
 @st.composite
 def partition_with_overlap(draw):
-    """Some bricks of a partition of a 2D space, then a repeat, nested or crossing brick."""
-    space = draw(st.sampled_from([V2x2, V23, SpaceSpec(2, (2, 2), 2)]))
+    """Some bricks of a partition of a 1D or 2D space, then a repeat, nested or
+    (in 2D) crossing brick."""
+    space = draw(st.sampled_from([V2x2, V23, SpaceSpec(2, (2, 2), 2)] + LINE_SPACES))
     rng = draw(st.randoms(use_true_random=False))
     bs = [b for b in random_partition(space, rng, splits=draw(st.integers(0, 8))) if rng.random() < 0.8]
+    moves = ["repeat", "child", "parent"] + (["cross"] if space.n == 2 else [])
     for _ in range(draw(st.integers(0, 2))):
         if not bs:
             break
         b = rng.choice(bs)
-        u, v = b.words
-        move = draw(st.sampled_from(["repeat", "child", "parent", "cross"]))
+        move = draw(st.sampled_from(moves))
         if move == "repeat":
             bs.append(b)
         elif move == "child":
-            bs.append(b.child(rng.randrange(2), 0))
+            bs.append(b.child(rng.randrange(space.n), 0))
         elif move == "parent":
-            bs.append(Brick(b.root, (u[:-1], v)))
+            bs.append(Brick(b.root, (b.words[0][:-1],) + b.words[1:]))
         else:
             # shorter in dimension 0, longer in 1: meets b, and contains or
             # lies in b only when u is empty
+            u, v = b.words
             bs.append(Brick(b.root, (u[:-1], v + (rng.randrange(space.kbar[1]),))))
     rng.shuffle(bs)
     return sorted(bs) if draw(st.booleans()) else bs
 
 
-@SETTINGS
+# three times the examples, so that the two-dimensional spaces get as many as before
+@settings(SETTINGS, max_examples=3 * SETTINGS.max_examples)
 @given(partition_with_overlap())
 def test_check_disjoint_names_the_pairwise_overlap(bs):
     try:
