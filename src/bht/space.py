@@ -13,39 +13,38 @@ and then by word with prefixes first.  Every word that sorts between a word
 u and an extension of u also extends u.  So the bricks of one sibling family
 are adjacent, the only brick that can be a proper prefix of a word w is the
 one sorted just before w, and the bricks that extend w form one run, from w
-up to ``w + (inf,)``.  The four kernels rest on this:
+up to ``w + (inf,)``.  The one-dimensional kernels rest on this:
 
 - :func:`compose_cells` sorts f's cells and finds each target of g among
   f's sources with two bisections;
 - :func:`merge_families` runs one stack over the sorted cells and replaces
   the k cells of each complete family by their parent, which sorts where
   they were;
-- :func:`canonical_bricks` sorts the bricks, drops each one that lies in the
-  last brick it kept, and runs the same stack;
 - ``element._check_disjoint`` accepts at once a list whose sorted
   neighbours are disjoint.
 
 For n >= 2 dimension-major order does not keep siblings adjacent (with the
 sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
 dimension 0 puts ``(0, 1)`` between its children), so these spaces keep the
-kernels below.
+worklist merge and the brick index below.
 
-Canonical form for n >= 2: the brick list is rebuilt as a dimension-major
-decision tree (split a dimension only where the set genuinely depends on
-it, lowest dimension first), and then complete sibling families are merged
-by :func:`merge_families`, the kernel that also normalises prefix-exchange
-tables in :mod:`bht.element` (a brick is passed as the cell ``(b, b)``).  The
-tree is built per branching node, not per letter: each node sorts its boxes
-into its children in one pass, reading the letter at its depth from the
-whole word; a node holding one box and nothing that covers it is that box
-(path compression); a node that a covering box fills is constant at once;
-and the sections of each covering set are computed once per call.  The
-merge kernel is a worklist: it buckets the cells by family once, per
-dimension, and each merge touches only the buckets of the cells it removes
-and adds.  The decision-tree stage depends only on the point set, never on
-the representation handed in, which makes the final form unique.  In every
-dimension count, bricks are finally sorted by root, then dimension-major
-with prefixes first.
+Canonical form, in every dimension count: :func:`canonical_bricks` cuts the
+bricks of each root into a dimension-major decision tree with
+:func:`_section_words` (split a dimension only where the set depends on it,
+lowest dimension first), which depends only on the point set.  The leaves
+of a dimension's tree whose section (the set over the higher dimensions) is
+S are the maximal cylinders inside the set where the section is S, so each
+such set goes through the one-dimensional sweep: sort the words, drop each
+one inside the last one kept, and run the family stack of
+:func:`merge_families`.  One stack pass over the sorted words finds the
+sections, and their forms come from one dimension up, so the only recursion
+is once per dimension.  For n = 1 the cut is the canonical form; for n >= 2
+families can remain across leaves of different sections, and the worklist
+of :func:`merge_families` (which also normalises prefix-exchange tables in
+:mod:`bht.element`, a brick entering as the cell ``(b, b)``) merges them: it
+buckets the cells by family once, per dimension, and each merge touches only
+the buckets of the cells it removes and adds.  Bricks are finally sorted by
+root, then dimension-major with prefixes first.
 
 Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
 the one pairwise meet.  Set difference peels a brick down to its meet with
@@ -209,83 +208,74 @@ def brick_subtract(space: SpaceSpec, b: Brick, c: Brick) -> list[Brick]:
 
 
 def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) -> list[tuple[Word, ...]]:
-    """Decision-tree form of the union of word boxes over dims >= dim.
+    """Decision-tree form of the union of word boxes over dims >= dim, sorted.
 
     The boxes may overlap or repeat.  The dim-th coordinate tree is split
-    exactly where the union fails to be constant on a subtree, and the
-    sections below are handled recursively.  The output depends only on the
-    union of the boxes, not on the boxes themselves.
+    exactly where the section of the union (the set over the higher
+    dimensions) fails to be constant, and each leaf carries the form of its
+    section, so the output depends only on the union.  The leaves whose
+    section is S are the maximal cylinders inside the set where the section
+    is S, so each such set is swept as in one dimension.
 
-    A node of the tree at depth d holds the boxes whose dim-th word is longer
-    than d, bucketed by their letter at d in one pass over the whole words,
-    and the higher-dimension rests of the boxes that cover it.  A node with
-    one box and no cover is that box (a single box is already canonical), a
-    node with an all-empty rest among its covers is full, and the sections
-    of each covering set are computed once per call.
+    One stack pass over the sorted dim-th words records, for each word, the
+    rests of the boxes that cover it, and for each proper prefix of a word
+    (an inner node) the rests that cover that.  The children of the inner
+    nodes that are not inner themselves (or the empty word, when no node is
+    inner) are atoms: they partition the coordinate tree, and the section is
+    constant on each.  The form of each covering set is computed once, one
+    dimension up, the atoms are grouped by it, and each group is reduced:
+    sorted, each word inside the last one kept dropped, and the family stack
+    run.  In the last dimension every rest is empty, so the words themselves
+    are the one group.  A lone box is its own form.
     """
-    n, kbar = space.n, space.kbar
-    memo: dict[tuple[int, frozenset], list[tuple[Word, ...]]] = {}
-
-    def sections(dim: int, boxes: frozenset) -> list[tuple[Word, ...]]:
-        if len(boxes) <= 1:
-            return list(boxes)
-        full = ((),) * (n - dim)
-        if full in boxes:
-            return [full]
-        got = memo.get((dim, boxes))
-        if got is not None:
-            return got
-        k = kbar[dim]
-        filled = (True, [full[1:]])
-
-        def node(depth: int, deeper: list, covers: frozenset):
-            # (True, sections below) when constant on the node, (None, box)
-            # for a lone box, else (False, one result per letter)
-            if not deeper:
-                return (True, sections(dim + 1, covers))
-            if not covers and len(deeper) == 1:
-                return (None, deeper[0])
-            buckets: list[list] = [[] for _ in range(k)]
-            for b in deeper:
-                buckets[b[0][depth]].append(b)
-            kids = []
-            bare = None
-            for bucket in buckets:
-                if not bucket:
-                    if bare is None:
-                        bare = (True, sections(dim + 1, covers))
-                    kids.append(bare)
-                    continue
-                ends = [b[1:] for b in bucket if len(b[0]) == depth + 1]
-                if not ends:
-                    kids.append(node(depth + 1, bucket, covers))
-                elif full[1:] in ends:
-                    kids.append(filled)
-                else:
-                    kids.append(node(depth + 1, [b for b in bucket if len(b[0]) > depth + 1],
-                                     covers.union(ends)))
-            first = kids[0]
-            if first[0] and all(kid[0] and kid[1] == first[1] for kid in kids):
-                return first
-            return (False, kids)
-
-        out: list[tuple[Word, ...]] = []
-
-        def flatten(u: Word, res):
-            const, payload = res
-            if const is None:
-                out.append(payload)
-            elif const:
-                out.extend((u,) + rest for rest in payload)
-            else:
-                for a, kid in enumerate(payload):
-                    flatten(u + (a,), kid)
-
-        flatten((), node(0, [b for b in boxes if b[0]], frozenset(b[1:] for b in boxes if not b[0])))
-        memo[(dim, boxes)] = out
-        return out
-
-    return sections(dim, frozenset(boxes))
+    if len(boxes) <= 1:
+        return list(boxes)
+    # form of the section -> the words with that section, each as a 1-tuple
+    groups: dict[tuple, list[tuple[Word]]] = {}
+    if dim == space.n - 1:
+        groups[((),)] = boxes
+    else:
+        rests: dict[Word, list] = {}
+        for b in boxes:
+            rests.setdefault(b[0], []).append(b[1:])
+        covers: dict[Word, frozenset] = {}
+        inner: dict[Word, frozenset] = {}
+        stack: list[Word] = []
+        for w in sorted(rests):
+            while stack and w[:len(stack[-1])] != stack[-1]:
+                stack.pop()
+            above = covers[stack[-1]] if stack else frozenset()
+            covers[w] = above.union(rests[w])
+            # the proper prefixes of w not known yet, longest first, all at or
+            # below the deepest covering word; the known ones are closed under
+            # prefixes, so the first known one ends the walk
+            for i in range(len(w) - 1, -1, -1):
+                if w[:i] in inner:
+                    break
+                inner[w[:i]] = above
+            stack.append(w)
+        atoms = [] if inner else [((), covers[()])]
+        atoms += [(c, covers.get(c, cover)) for u, cover in inner.items()
+                  for c in (u + (a,) for a in range(space.kbar[dim])) if c not in inner]
+        forms: dict[frozenset, tuple] = {}
+        for c, cover in atoms:
+            form = forms.get(cover)
+            if form is None:
+                form = forms[cover] = tuple(_section_words(space, dim + 1, list(cover)))
+            if form:
+                groups.setdefault(form, []).append((c,))
+    out: list[tuple[Word, ...]] = []
+    for form, words in groups.items():
+        if len(words) > 1:
+            kept: list[tuple[Word]] = []
+            for w in sorted(words):
+                if not (kept and w[0][:len(kept[-1][0])] == kept[-1][0]):
+                    kept.append(w)
+            words = [d[1] for d, _ in _family_stack(space.kbar[dim], [((0, w),) * 2 for w in kept])]
+        out += [w + rest for w in words for rest in form]
+    if len(groups) > 1:
+        out.sort()
+    return out
 
 
 def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
@@ -373,7 +363,9 @@ def _inside(b: Brick, a: Brick) -> bool:
 
 
 def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
-    """:func:`merge_families` in one dimension, over cells sorted by source.
+    """:func:`merge_families` in one dimension, over cells sorted by source;
+    also the last step of every sweep in :func:`_section_words`, whose cells
+    are plain ``(root, words)`` pairs (each merged parent is a brick).
 
     A cell may complete a family only when its source and target both end in
     the last letter k - 1, and then the family's other cells are the k - 1
@@ -385,13 +377,13 @@ def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
     stack: list[Cell] = []
     for cell in cells:
         d, r = cell
-        dw, rw = d.words[0], r.words[0]
+        dw, rw = d[1][0], r[1][0]
         while dw and rw and dw[-1] == last == rw[-1]:
             dp, rp = dw[:-1], rw[:-1]
-            if stack[-last:] != [((d.root, (dp + (a,),)), (r.root, (rp + (a,),))) for a in range(last)]:
+            if stack[-last:] != [((d[0], (dp + (a,),)), (r[0], (rp + (a,),))) for a in range(last)]:
                 break
             del stack[-last:]
-            d, r, dw, rw = Brick(d.root, (dp,)), Brick(r.root, (rp,)), dp, rp
+            d, r, dw, rw = Brick(d[0], (dp,)), Brick(r[0], (rp,)), dp, rp
             cell = (d, r)
         stack.append(cell)
     return stack
@@ -400,29 +392,20 @@ def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
 def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
     """Canonical representative of the union of ``bricks`` (overlaps allowed).
 
-    In one dimension the bricks are sorted, each brick inside the last one
-    kept is dropped, which leaves the maximal bricks, and the family stack
-    merges what remains.  In more dimensions the section tree builds the
-    union and :func:`merge_families` merges its families.
+    The bricks of each root are cut by :func:`_section_words`.  In one
+    dimension that is already the canonical form: its sweep leaves the
+    maximal bricks and merges their families.  In more dimensions
+    :func:`merge_families` merges the families the cut leaves across
+    different sections.
     """
-    if space.n == 1:
-        kept: list[Brick] = []
-        for b in sorted(bricks):
-            if not (kept and _inside(b, kept[-1])):
-                kept.append(b)
-        return tuple(d for d, _ in _family_stack(space.kbar[0], [(b, b) for b in kept]))
     by_root: dict[int, list[tuple[Word, ...]]] = {}
     for b in bricks:
         by_root.setdefault(b.root, []).append(b.words)
-    sectioned = [
-        Brick(root, words)
-        for root, boxes in by_root.items()
-        for words in _section_words(space, 0, boxes)
-    ]
-    if len(sectioned) < 2:
+    cut = [Brick(root, words) for root in sorted(by_root) for words in _section_words(space, 0, by_root[root])]
+    if space.n == 1 or len(cut) < 2:
         # a lone brick is in no family
-        return tuple(sectioned)
-    return tuple(b for b, _ in merge_families(space, ((b, b) for b in sectioned)))
+        return tuple(cut)
+    return tuple(b for b, _ in merge_families(space, ((b, b) for b in cut)))
 
 
 _PAST = (math.inf,)

@@ -1,5 +1,6 @@
 import doctest
 import math
+import random
 
 import pytest
 
@@ -12,9 +13,11 @@ from bht.abelian import (
     is_perfect,
     proper_characters,
 )
+from bht.element import TableElement, canonicalize, compose, equals
 from bht.errors import DomainError, NotDeterminedError
+from bht.sampling import random_element
 from bht.space import SpaceSpec
-from util import assert_frozen_value
+from util import B, assert_frozen_value, cell_parity
 
 
 def S(n, k, r=1):
@@ -161,3 +164,38 @@ def test_groups_are_frozen_and_direct_sum_keeps_both_parts():
     assert s.factors == (0, 0, 0, 2, 4, 12)
     assert s == AbelianGroup([0, 0, 0, 2, 3, 4, 4]) and hash(s) == hash(AbelianGroup([0, 0, 0, 4, 12, 2]))
     assert direct_sum(a, AbelianGroup([])) == a
+
+
+def _split(g: TableElement, i: int) -> TableElement:
+    """The same element with its i-th cell split into its children on both sides."""
+    cells = list(g.cells)
+    d, r = cells.pop(i)
+    return TableElement(g.space, cells + [(d.child(0, a), r.child(0, a)) for a in range(g.space.kbar[0])])
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_cell_parity_is_a_character_exactly_where_the_abelianization_is_z2(k):
+    # For n = 1 the group is V_{k,r}, whose abelianization is Z_2 for odd k
+    # (the parity of the cell permutation) and trivial for even k (Higman,
+    # Finitely presented infinite simple groups, 1974).
+    for r in (1, 2, 3):
+        space = S(1, k, r)
+        rng = random.Random(100 * k + r)
+        # the swap of the bricks 0 and 1 of root 0, the identity elsewhere
+        swap = TableElement(space, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))]
+                            + [(B(0, str(a)),) * 2 for a in range(2, k)]
+                            + [(space.root_brick(i),) * 2 for i in range(1, r)])
+        assert cell_parity(swap) == 1
+        if abelianization(space) == AbelianGroup([2]):
+            for _ in range(40):
+                f = random_element(space, rng, factors=2, splits=2)
+                g = random_element(space, rng, factors=2, splits=2)
+                assert cell_parity(compose(f, g)) == cell_parity(f) ^ cell_parity(g)
+                assert cell_parity(canonicalize(f)) == cell_parity(f)
+                assert cell_parity(_split(f, rng.randrange(len(f.cells)))) == cell_parity(f)
+        else:
+            assert abelianization(space).is_trivial()
+            # the moved cell 0 -> 1 has one inversion, and k - 1 is odd
+            moved = swap.cells.index((B(0, "0"), B(0, "1")))
+            fine = _split(swap, moved)
+            assert equals(fine, swap) and cell_parity(fine) == 0

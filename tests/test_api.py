@@ -1,6 +1,7 @@
 """The package surface: what ``src/bht`` defines is used by the package itself,
-its values are frozen slotted dataclasses with no caches, importing the library
-loads no sampler, and the README example runs."""
+no function calls itself but once per dimension, its values are frozen slotted
+dataclasses with no caches, importing the library loads no sampler, and the
+README example runs."""
 
 import ast
 import dataclasses
@@ -71,6 +72,46 @@ def test_every_definition_is_used_by_the_package():
 
     unused = {qualified for qualified, name, body in defined if not used(name, body)}
     assert unused == set(UNREFERENCED_BUT_KEPT)
+
+
+# Functions that call themselves, each with its reason.  A recursion once per
+# letter of a word fails on long words with RecursionError, so any other
+# recursion must be a loop.
+SELF_CALLS_KEPT = {
+    "space._section_words": "one level per dimension: the form of each section, one dimension up",
+    "space._index_level": "one level per dimension: the trie of the next dimension's words",
+}
+
+
+def _self_calls(node, prefix):
+    """Qualified names of the functions at or under ``node`` whose body, nested
+    functions included, calls the function by its own name (a method through
+    ``self`` or ``cls``)."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            name = "%s.%s" % (prefix, child.name)
+            for call in ast.walk(child):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == child.name
+                        or isinstance(func, ast.Attribute) and func.attr == child.name
+                        and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls")):
+                    out.add(name)
+            out |= _self_calls(child, name)
+        elif isinstance(child, ast.ClassDef):
+            out |= _self_calls(child, "%s.%s" % (prefix, child.name))
+        else:
+            out |= _self_calls(child, prefix)
+    return out
+
+
+def test_no_function_calls_itself_but_once_per_dimension():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _self_calls(ast.parse(path.read_text()), path.stem)
+    assert found == set(SELF_CALLS_KEPT)
 
 
 def test_values_are_frozen_slotted_dataclasses_without_caches():

@@ -494,39 +494,59 @@ def test_verify_rejects_mutations_across_kinds(capsys, tmp_path):
     assert min(rejected) >= 10, rejected
 
 
-# 0^L 0 and 0^L 1 at L = 1200, words longer than Python's default limit of
-# 1000 stack frames, in a clopen and in the comb table that swaps them and
-# fixes every 0^i 1
+def run_module(argv):
+    """Exit code, stdout and stderr of ``python -m bht.cli`` in a new process,
+    whose recursion limit and stack are the defaults."""
+    path = os.pathsep.join([str(Path(bht.__file__).resolve().parent.parent),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-m", "bht.cli", *argv], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=10)
+    return out.returncode, out.stdout, out.stderr
+
+
+# k - 1 = 2^61 - 1 is prime: trial division would take about 2^30 steps.
+@pytest.mark.parametrize("argv, expected", [
+    (["homology", "--space", "2,2305843009213693952,1", "--degree", "1"], "Z_2305843009213693951"),
+    (["abelianization", "--space", "2,2305843009213693952,1"], "Z_2305843009213693951"),
+    (["characters", "--space", "2,2305843009213693952,1"],
+     "1 of order 2305843009213693951 (dual group Z_2305843009213693951)"),
+    (["perfect", "--space", "3,2305843009213693952,1"], "false"),
+    # g = 1: the trivial group, not a list of C(59, 29) trivial summands
+    (["homology", "--space", "60,2,1", "--degree", "29"], "0"),
+], ids=["homology", "abelianization", "characters", "perfect", "trivial-homology"])
+def test_closed_forms_of_a_large_prime_alphabet_need_no_factoring(argv, expected):
+    assert run_module(argv) == (0, expected + "\n", "")
+
+
+# Words of L = 1200 letters, longer than Python's default limit of 1000 stack
+# frames.  In one dimension: 0^L 0 and 0^L 1 in a clopen, and the comb table
+# that swaps them and fixes every 0^i 1.  In two: the same pair with an empty
+# second word, and e,0 beside 0^L,1.
 DEEP = "0" * 1200
 DEEP_CLOPEN = "space n=1 k=2 r=1\nroot:0 %s0\nroot:0 %s1\n" % (DEEP, DEEP)
 DEEP_COMB = "".join(["table n=1 k=2 r=1\n"]
                     + ["root:0 %s1 -> root:0 %s1\n" % (DEEP[:i], DEEP[:i]) for i in range(len(DEEP))]
                     + ["root:0 %s0 -> root:0 %s1\nroot:0 %s1 -> root:0 %s0\n" % ((DEEP,) * 4)])
+DEEP_PLANE = "space n=2 k=2,2 r=1\nroot:0 %s0,e\nroot:0 %s1,e\n" % (DEEP, DEEP)
+DEEP_STEP = "space n=2 k=2,2 r=1\nroot:0 e,0\nroot:0 %s,1\n" % DEEP
 
 
-# k - 1 = 2^61 - 1 is prime: trial division would take about 2^30 steps.  The
-# command reads ``text``, when given, from a file named last on its line.
+# ``expected`` None checks only that the command answers
 @pytest.mark.parametrize("argv, text, expected", [
-    (["homology", "--space", "2,2305843009213693952,1", "--degree", "1"], None, "Z_2305843009213693951"),
-    (["abelianization", "--space", "2,2305843009213693952,1"], None, "Z_2305843009213693951"),
-    (["characters", "--space", "2,2305843009213693952,1"], None,
-     "1 of order 2305843009213693951 (dual group Z_2305843009213693951)"),
-    (["perfect", "--space", "3,2305843009213693952,1"], None, "false"),
-    # g = 1: the trivial group, not a list of C(59, 29) trivial summands
-    (["homology", "--space", "60,2,1", "--degree", "29"], None, "0"),
     # the two bricks are a family, so X is the one brick 0^L
     (["double"], DEEP_CLOPEN,
      "witness double\nbegin X\nspace n=1 k=2 r=1\nroot:0 %s\nend\n"
      "begin output1\nbisection n=1 k=2 r=1\nroot:0 %s -> root:0 %s00\nend\n"
      "begin output2\nbisection n=1 k=2 r=1\nroot:0 %s -> root:0 %s10\nend" % ((DEEP,) * 5)),
     (["support"], DEEP_COMB, "space n=1 k=2 r=1\nroot:0 " + DEEP),
-], ids=["homology", "abelianization", "characters", "perfect", "trivial-homology", "deep-double",
-        "deep-support"])
-def test_closed_forms_of_a_large_prime_alphabet_need_no_factoring(tmp_path, argv, text, expected):
-    path = os.pathsep.join([str(Path(bht.__file__).resolve().parent.parent),
-                            os.environ.get("PYTHONPATH", "")])
-    if text is not None:
-        argv = argv + [write(tmp_path, "input.txt", text)]
-    out = subprocess.run([sys.executable, "-m", "bht.cli", *argv], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=10)
-    assert (out.returncode, out.stdout, out.stderr) == (0, expected + "\n", "")
+    (["double"], DEEP_PLANE,
+     "witness double\nbegin X\nspace n=2 k=2,2 r=1\nroot:0 %s,e\nend\n"
+     "begin output1\nbisection n=2 k=2,2 r=1\nroot:0 %s,e -> root:0 %s00,e\nend\n"
+     "begin output2\nbisection n=2 k=2,2 r=1\nroot:0 %s,e -> root:0 %s10,e\nend" % ((DEEP,) * 5)),
+    (["double"], DEEP_STEP, None),
+], ids=["deep-double", "deep-support", "deep-double-plane", "deep-double-step"])
+def test_long_words_need_no_recursion_per_letter(tmp_path, argv, text, expected):
+    code, out, err = run_module(argv + [write(tmp_path, "input.txt", text)])
+    assert (code, err) == (0, "")
+    if expected is not None:
+        assert out == expected + "\n"

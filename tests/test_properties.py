@@ -291,10 +291,13 @@ def test_one_dimensional_sections_have_no_families(sb):
 @st.composite
 def section_boxes(draw):
     """Word boxes with repeats and nesting; or one box; or with the box that
-    covers everything; or with the complete family of children of a box."""
-    space = draw(st.sampled_from(INDEX_SPACES))
+    covers everything; or with the complete family of children of a box; or,
+    in two or three dimensions, one box and a second whose dim-0 word extends
+    the first's by 20 to 60 letters and whose other words are drawn afresh,
+    so that a long path of inner nodes runs below a covering box."""
+    shape = draw(st.sampled_from(["nested", "one", "full", "family", "deep"]))
+    space = draw(st.sampled_from([sp for sp in INDEX_SPACES if sp.n > 1 or shape != "deep"]))
     boxes = [b.words for b in draw(nested_bricks(space, 8))]
-    shape = draw(st.sampled_from(["nested", "one", "full", "family"]))
     if shape == "one":
         boxes = boxes[:1]
     elif shape == "full":
@@ -303,6 +306,10 @@ def section_boxes(draw):
         j = draw(st.integers(0, space.n - 1))
         b = Brick(0, draw(st.sampled_from(boxes)))
         boxes += [c.words for c in subdivide(space, b, j)]
+    elif shape == "deep":
+        b = draw(st.sampled_from(boxes))
+        tail = draw(st.lists(st.integers(0, space.kbar[0] - 1), min_size=20, max_size=60))
+        boxes = [b, (b[0] + tuple(tail),) + draw(bricks(space)).words[1:]]
     return space, boxes
 
 

@@ -125,6 +125,31 @@ def refine(g: TableElement, rng) -> TableElement:
     return TableElement(g.space, cells)
 
 
+def cell_parity(g: TableElement) -> int:
+    """Parity (0 even, 1 odd) of the permutation a table makes between its
+    sources and its targets, each side sorted in brick order.
+
+    In one dimension no brick disjoint from two siblings sorts between them,
+    so splitting a cell into its k children on both sides puts k adjacent
+    entries on each side.  That adds k - 1 times the cell's inversions to the
+    inversion count, an even number when k is odd: there the parity is a
+    function of the element.
+    """
+    targets = [r for _, r in sorted(g.cells)]
+    place = {r: i for i, r in enumerate(sorted(targets))}
+    perm = [place[r] for r in targets]
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2
+
+
 def compose_cells_all_pairs(f_cells, g_cells) -> list:
     """Reference for ``bht.space.compose_cells``: meet every g-target with every f-source."""
     def suffixes(meet, outer):
