@@ -10,13 +10,14 @@ Composition refines the middle partitions against each other and rereads the
 resulting cells, so the group law is exact.  Every composite, image, meet of
 clopens and word-problem test reads its cells from
 :func:`bht.space.compose_cells`, which visits only pairs of bricks that
-really meet, builds each cell in one pass and keeps the bricks of an exact
-meet (a target of g that is a source of f).  In one dimension the
-disjointness check on construction first tests the sorted neighbours: two
-bricks meet only when one word is a prefix of the other, and every brick
-sorted between them extends the shorter, so a list whose sorted neighbours
-are disjoint is disjoint.  A list with an overlap, and every list in more
-dimensions, is looked up brick by brick in a
+really meet, builds each cell in one pass and keeps the brick of a side
+that gains no letters (both, at an exact meet: a target of g that is a
+source of f).  The disjointness check on construction first tests the
+sorted neighbours' roots and dimension-0 words: two such keys nest only
+when one word is a prefix of the other, and every key sorted between them
+extends the shorter, so when no neighbour's key lies in the one before it
+the keys form a prefix code and the bricks are disjoint, in any dimension
+count.  Otherwise every brick is looked up in a
 :class:`bht.space.BrickIndex`, so the error names the first brick of the
 list, in the order given, that meets another, and its first partner.
 
@@ -37,28 +38,33 @@ from typing import Iterable
 
 from .errors import DomainError
 from .space import (
-    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, _inside, compose_cells, merge_families,
+    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families,
 )
+
+
+def _head_inside(b: Brick, a: Brick) -> bool:
+    """Whether b's root and dimension-0 word lie in a's: the roots agree and
+    a's word is a prefix of b's."""
+    w = a.words[0]
+    return b.root == a.root and b.words[0][:len(w)] == w
 
 
 def _check_disjoint(side: str, bricks: list[Brick]):
     """Raise on the first brick that meets another, naming its first partner.
 
-    In one dimension a list whose sorted neighbours are disjoint is disjoint
-    (see the module docstring) and passes at once.  Two neighbours meet when
-    the later lies in the earlier.
+    A list whose roots and dimension-0 words form a prefix code, as its
+    sorted neighbours show (see the module docstring), passes at once.
     """
-    if len(bricks) < 2:
+    ordered = sorted(bricks)
+    if not any(map(_head_inside, ordered[1:], ordered)):
         return
-    if len(bricks[0].words) == 1:
-        ordered = sorted(bricks)
-        if not any(map(_inside, ordered[1:], ordered)):
-            return
-    index = BrickIndex(bricks)
+    index = BrickIndex(ordered)
     for i, b in enumerate(bricks):
         hits = index.meeting(b)
         if len(hits) > 1:
-            partner = min(j for j in hits if j != i)
+            # ordered[j] is bricks[order[j]]
+            order = sorted(range(len(bricks)), key=bricks.__getitem__)
+            partner = min(order[j] for j in hits if order[j] != i)
             raise DomainError("%s bricks overlap: %r, %r" % (side, b, bricks[partner]))
 
 

@@ -7,26 +7,34 @@ dimension; bricks are the basic compact open sets.  A :class:`Clopen` is a
 finite disjoint union of bricks kept in a canonical form, so two values
 compare equal exactly when they denote the same point set.
 
-One dimension is a sorted sweep.  For n = 1 (the Higman-Thompson groups
-V_{k,r}) a sorted list of disjoint bricks is a prefix code, ordered by root
-and then by word with prefixes first.  Every word that sorts between a word
-u and an extension of u also extends u.  So the bricks of one sibling family
-are adjacent, the only brick that can be a proper prefix of a word w is the
-one sorted just before w, and the bricks that extend w form one run, from w
-up to ``w + (inf,)``.  The one-dimensional kernels rest on this:
+One dimension is a sorted sweep.  Sort finite words with prefixes first,
+and say that a word holds its extensions (itself included).  Every word
+that sorts between a word u and a word that u holds is held by u too.  So
+the words that a word w holds form one run, from w up to ``w + (inf,)``,
+and every other word that holds w also holds the word sorted just before
+w.  One stack pass over the sorted words links each word to the nearest
+earlier word that holds it, and a walk along these links from w's
+predecessor finds the words that hold w.  For n = 1 (the Higman-Thompson
+groups V_{k,r}) a sorted list of disjoint bricks is a prefix code, ordered
+by root and then by word: no link is set, the only brick that can hold a
+word is the one sorted just before it, and the bricks of one sibling family
+are adjacent.  The kernels rest on this:
 
-- :func:`compose_cells` sorts f's cells and finds each target of g among
-  f's sources with two bisections;
-- :func:`merge_families` runs one stack over the sorted cells and replaces
-  the k cells of each complete family by their parent, which sorts where
-  they were;
-- ``element._check_disjoint`` accepts at once a list whose sorted
-  neighbours are disjoint.
+- :class:`BrickIndex` is the sweep once per dimension: each level keeps
+  the words of a run of a sorted brick list, their links and what lies
+  below each word, and :func:`compose_cells` looks each target of g up
+  among f's sorted sources there, with two bisections per level it enters;
+- :func:`merge_families`, in one dimension, runs one stack over the sorted
+  cells and replaces the k cells of each complete family by their parent,
+  which sorts where they were;
+- ``element._check_disjoint`` accepts at once, in any dimension count, a
+  list whose roots and dimension-0 words form a prefix code, which its
+  sorted neighbours show.
 
 For n >= 2 dimension-major order does not keep siblings adjacent (with the
 sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
-dimension 0 puts ``(0, 1)`` between its children), so these spaces keep the
-worklist merge and the brick index below.
+dimension 0 puts ``(0, 1)`` between its children), so :func:`merge_families`
+keeps a worklist there.
 
 Canonical form, in every dimension count: :func:`canonical_bricks` cuts the
 bricks of each root into a dimension-major decision tree with
@@ -49,13 +57,10 @@ root, then dimension-major with prefixes first.
 Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
 the one pairwise meet.  Set difference peels a brick down to its meet with
 the brick taken away, splitting off the siblings of every letter the meet
-has beyond it (:func:`brick_subtract`).  For n >= 2 the meet of brick lists
-goes through :class:`BrickIndex`, a per-dimension prefix trie whose levels
-also keep their distinct word lengths, so a query looks a prefix of its
-word up only at a length some indexed word has.  :func:`compose_cells`
+has beyond it (:func:`brick_subtract`).  The meet of two brick lists goes
+through :class:`BrickIndex` in every dimension count.  :func:`compose_cells`
 builds the cell of each meet it finds in one pass over the dimensions, and
-an exact meet, where the two middle bricks are equal, reuses the outer
-bricks as they are.
+a side that gains no letters keeps its brick as it is.
 
 ``Clopen(...)`` checks its bricks against the space and runs only on bricks
 from outside (``textio.parse``, ``sampling`` and library callers).  Every
@@ -71,7 +76,7 @@ workers.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -355,13 +360,6 @@ def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
             return sorted(live)
 
 
-def _inside(b: Brick, a: Brick) -> bool:
-    """Whether the one-dimensional brick b lies in a: the roots agree and a's
-    word is a prefix of b's."""
-    w = a.words[0]
-    return b.root == a.root and b.words[0][:len(w)] == w
-
-
 def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
     """:func:`merge_families` in one dimension, over cells sorted by source;
     also the last step of every sweep in :func:`_section_words`, whose cells
@@ -411,140 +409,128 @@ def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, 
 _PAST = (math.inf,)
 
 
-def _index_level(node: dict, below: int) -> tuple[dict, list, list, list]:
-    """A trie node as (children, keys in order, children in key order,
-    distinct key lengths in order)."""
-    if below:
-        node = {w: _index_level(child, below - 1) for w, child in node.items()}
-    keys = sorted(node)
-    return node, keys, [node[w] for w in keys], sorted({len(w) for w in keys})
+def _index_level(bricks: list[Brick], lo: int, hi: int, dim: int) -> tuple[list, list, list | range]:
+    """One level of a :class:`BrickIndex`: the sorted run ``bricks[lo:hi]``,
+    whose bricks share their root and their words below ``dim``, as (its
+    dim-th words in order, for each word the nearest earlier word that holds
+    it or -1, and what lies below each word).
+
+    Below a word lies the level of the next dimension over the bricks that
+    have it, so in the dimensions before the last each word is kept once.
+    In the last dimension every brick keeps its word, a repeat holding the
+    one before it, and below each word lies its position: ``below`` is
+    ``range(lo, hi)``.  The links come from one stack of the words that hold
+    the last one.
+    """
+    last = dim + 1 == len(bricks[lo].words)
+    words: list[Word] = []
+    up: list[int] = []
+    starts: list[int] = []
+    holders: list[int] = []
+    for p in range(lo, hi):
+        w = bricks[p].words[dim]
+        while holders and w[:len(words[holders[-1]])] != words[holders[-1]]:
+            holders.pop()
+        if holders and not last and len(w) == len(words[holders[-1]]):
+            # a word as long as w that holds it is w: the last word, whose run w joins
+            continue
+        up.append(holders[-1] if holders else -1)
+        holders.append(len(words))
+        words.append(w)
+        starts.append(p)
+    if last:
+        return words, up, range(lo, hi)
+    starts.append(hi)
+    return words, up, [_index_level(bricks, p, q, dim + 1) for p, q in zip(starts, starts[1:])]
 
 
 class BrickIndex:
-    """Prefix index over a list of bricks: which of them meet a query brick.
+    """Which bricks of a sorted list meet a query brick.
 
     Two bricks meet exactly when they share a root and, in every dimension,
-    one word is a prefix of the other.  The bricks are grouped by root and
-    then by word, one dimension per level; each level keeps a dict from word
-    to the next level, its keys and values in key order and the distinct key
-    lengths.  A query finds the prefixes of its word by dict lookups at those
-    lengths only and the extensions by a bisect range, so it visits only
-    branches that really meet.
+    one word is a prefix of the other.  The list is cut by root and then by
+    word, one dimension per level, and each level is the sweep of the module
+    docstring over its words, which need not be a prefix code.  A query
+    bisects each level it enters for its word w, walks the links from w's
+    predecessor to the first word that holds w, takes that word and the
+    words that hold it, and takes the extensions of w as the run
+    ``[w, w + (inf,))``.  So it visits only branches that really meet, with
+    two bisections per level.
     """
 
     __slots__ = ("_roots",)
 
-    def __init__(self, bricks: Iterable[Brick]):
-        tries: dict[int, dict] = {}
-        depth = 0
-        for i, b in enumerate(bricks):
-            depth = len(b.words)
-            node = tries.setdefault(b.root, {})
-            for w in b.words[:-1]:
-                node = node.setdefault(w, {})
-            node.setdefault(b.words[-1], []).append(i)
-        self._roots = {root: _index_level(node, depth - 1) for root, node in tries.items()}
+    def __init__(self, bricks: list[Brick]):
+        """Index ``bricks``, which must be sorted."""
+        self._roots = roots = {}
+        lo = 0
+        while lo < len(bricks):
+            root = bricks[lo].root
+            # every brick at this root sorts before (root + 1,)
+            hi = bisect_right(bricks, (root + 1,), lo)
+            roots[root] = _index_level(bricks, lo, hi, 0)
+            lo = hi
 
     def meeting(self, b: Brick) -> list[int]:
-        """Positions, in the indexed list, of the bricks that meet ``b``."""
+        """Positions, in increasing order, of the indexed bricks that meet ``b``."""
         level = self._roots.get(b.root)
-        found = [level] if level else []
+        if level is None:
+            return []
+        levels = [level]
         for w in b.words:
-            m = len(w)
-            hits: list = []
-            for children, keys, values, lengths in found:
-                # the proper prefixes of w, at the lengths the level has
-                for i in lengths:
-                    if i >= m:
-                        break
-                    child = children.get(w[:i])
-                    if child is not None:
-                        hits.append(child)
-                # w and its extensions: every word that starts with w sorts
-                # in [w, w + (inf,))
-                lo = bisect_left(keys, w)
-                hits += values[lo:bisect_left(keys, w + _PAST, lo)]
-            found = hits
-        return [i for leaf in found for i in leaf]
+            found = []
+            for words, up, below in levels:
+                lo = bisect_left(words, w)
+                i = lo - 1
+                while i >= 0 and w[:len(words[i])] != words[i]:
+                    i = up[i]
+                if i >= 0:
+                    held = []
+                    while i >= 0:
+                        held.append(below[i])
+                        i = up[i]
+                    held.reverse()
+                    found += held
+                found += below[lo:bisect_left(words, w + _PAST, lo)]
+            levels = found
+        return levels
 
 
 def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
     """Cells of the partial map f after g, one per meeting g-target and f-source.
 
-    Only pairs that meet are visited.  In one dimension f's cells are sorted
-    (in linear time when they already are, as every table keeps them) and
-    each target of g is found among the sources by two bisections: its
-    proper prefixes are the source sorted just before it and, only when f's
-    sources overlap, the sources holding that one; its extensions are one
-    run.  In more dimensions the sources of f go into a
-    :class:`BrickIndex` and each target of g is looked up there.  Each meet
-    is pulled back through g and pushed forward through f in one pass over
-    the dimensions: in each one the deeper of the two middle words is the
-    meet's, so the side of the shallower word is extended by what the deeper
-    one has beyond it and the other side keeps its word.  An exact meet (the
-    target of g is the source of f) extends nothing, so its cell is the pair
-    of outer bricks as they are.  Cells are yielded lazily, in the order of
-    g, so a caller may stop at the first one it needs.  A clopen enters as
-    the partial identity with cells ``(b, b)``.
+    Only pairs that meet are visited: f's cells are sorted (in linear time
+    when they already are, as every table keeps them), their sources go
+    into a :class:`BrickIndex` and each target of g is looked up there once.
+    Each meet is pulled back through g and pushed forward through f in one
+    pass over the dimensions: in each one the deeper of the two middle words
+    is the meet's, so the side of the shallower word is extended by what the
+    deeper one has beyond it and the other side keeps its word.  A side that
+    gains no letters keeps its brick as it is; an exact meet (the target of
+    g is the source of f) is the pair of outer bricks.  Cells are yielded
+    lazily, in the order of g, so a caller may stop at the first one it
+    needs.  A clopen enters as the partial identity with cells ``(b, b)``.
     """
-    f_cells = list(f_cells)
-    if f_cells and len(f_cells[0][0].words) == 1:
-        return _compose_sorted(f_cells, g_cells)
-    return _compose_indexed(f_cells, g_cells)
-
-
-def _compose_sorted(f_cells: list[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
-    """:func:`compose_cells` in one dimension: a bisection sweep of f's sorted sources."""
-    f_cells.sort()
-    sources = [d for d, _ in f_cells]
-    # up[i]: the nearest source before the i-th that holds it, or -1.  It is
-    # -1 throughout when the sources are disjoint, as they are in every table
-    # and clopen; then the predecessor of a target is its only proper prefix.
-    up: list[int] = []
-    holders: list[int] = []
-    for i, d in enumerate(sources):
-        while holders and not _inside(d, sources[holders[-1]]):
-            holders.pop()
-        up.append(holders[-1] if holders else -1)
-        holders.append(i)
-    for gd, gr in g_cells:
-        t = gr.words[0]
-        lo = bisect_left(sources, gr)
-        i = lo - 1
-        while i >= 0 and not _inside(gr, sources[i]):
-            i = up[i]
-        # the sources that are proper prefixes of t, shortest first
-        prefixes = []
-        while i >= 0:
-            prefixes.append(i)
-            i = up[i]
-        for i in reversed(prefixes):
-            fd, fr = f_cells[i]
-            yield gd, Brick(fr.root, (fr.words[0] + t[len(fd.words[0]):],))
-        # t and its extensions sort in [t, t + (inf,))
-        for fd, fr in f_cells[lo:bisect_left(sources, (gr.root, (t + _PAST,)), lo)]:
-            s = fd.words[0]
-            yield (gd if len(s) == len(t) else Brick(gd.root, (gd.words[0] + s[len(t):],))), fr
-
-
-def _compose_indexed(f_cells: list[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
-    """:func:`compose_cells` in two or more dimensions, through a :class:`BrickIndex`."""
-    index = BrickIndex(d for d, _ in f_cells)
+    f_cells = sorted(f_cells)
+    index = BrickIndex([d for d, _ in f_cells])
     for gd, gr in g_cells:
         for i in index.meeting(gr):
             fd, fr = f_cells[i]
             if fd == gr:
                 yield gd, fr
                 continue
-            dw, rw = [], []
-            for t, s, a, b in zip(gr.words, fd.words, gd.words, fr.words):
+            dw = rw = ()
+            grew_d = grew_r = False
+            for t, s, a, c in zip(gr.words, fd.words, gd.words, fr.words):
                 if len(t) < len(s):
-                    dw.append(a + s[len(t):])
-                    rw.append(b)
-                else:
-                    dw.append(a)
-                    rw.append(b + t[len(s):])
-            yield Brick(gd.root, tuple(dw)), Brick(fr.root, tuple(rw))
+                    a += s[len(t):]
+                    grew_d = True
+                elif len(s) < len(t):
+                    c += t[len(s):]
+                    grew_r = True
+                dw += (a,)
+                rw += (c,)
+            yield (Brick(gd.root, dw) if grew_d else gd), (Brick(fr.root, rw) if grew_r else fr)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

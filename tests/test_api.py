@@ -79,7 +79,7 @@ def test_every_definition_is_used_by_the_package():
 # recursion must be a loop.
 SELF_CALLS_KEPT = {
     "space._section_words": "one level per dimension: the form of each section, one dimension up",
-    "space._index_level": "one level per dimension: the trie of the next dimension's words",
+    "space._index_level": "one level per dimension: the sweep of the next dimension's words in each run",
 }
 
 

@@ -531,7 +531,9 @@ DEEP_PLANE = "space n=2 k=2,2 r=1\nroot:0 %s0,e\nroot:0 %s1,e\n" % (DEEP, DEEP)
 DEEP_STEP = "space n=2 k=2,2 r=1\nroot:0 e,0\nroot:0 %s,1\n" % DEEP
 
 
-# ``expected`` None checks only that the command answers
+# Each command reads the output of the one before it; ``expected`` None
+# checks only that the commands answer, and a verify must print only ``ok``
+# lines.
 @pytest.mark.parametrize("argv, text, expected", [
     # the two bricks are a family, so X is the one brick 0^L
     (["double"], DEEP_CLOPEN,
@@ -544,9 +546,16 @@ DEEP_STEP = "space n=2 k=2,2 r=1\nroot:0 e,0\nroot:0 %s,1\n" % DEEP
      "begin output1\nbisection n=2 k=2,2 r=1\nroot:0 %s,e -> root:0 %s00,e\nend\n"
      "begin output2\nbisection n=2 k=2,2 r=1\nroot:0 %s,e -> root:0 %s10,e\nend" % ((DEEP,) * 5)),
     (["double"], DEEP_STEP, None),
-], ids=["deep-double", "deep-support", "deep-double-plane", "deep-double-step"])
+    # the witness holds bricks e,0 and 0^L,1: the brick index of every check
+    # meets words of L letters
+    (["double", "verify"], DEEP_STEP, None),
+], ids=["deep-double", "deep-support", "deep-double-plane", "deep-double-step", "deep-verify-step"])
 def test_long_words_need_no_recursion_per_letter(tmp_path, argv, text, expected):
-    code, out, err = run_module(argv + [write(tmp_path, "input.txt", text)])
-    assert (code, err) == (0, "")
+    for command in argv:
+        code, text, err = run_module([command, write(tmp_path, "input.txt", text)])
+        assert (code, err) == (0, "")
     if expected is not None:
-        assert out == expected + "\n"
+        assert text == expected + "\n"
+    if argv[-1] == "verify":
+        lines = text.splitlines()
+        assert lines and all(line.startswith("ok ") for line in lines)

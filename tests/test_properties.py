@@ -358,18 +358,39 @@ def test_brick_meet_and_subtract_match_points(pair, rng):
         assert count == inside(t, b)
 
 
+@st.composite
+def index_cases(draw, space):
+    """Bricks to index and queries.  Either nested bricks with random queries,
+    or a chain: dimension-0 words e, 0, 00, ..., 0^d, each with one or two
+    random higher words, some repeats, and queries that leave the chain at
+    every depth and run past its end, so a query's predecessor in dimension 0
+    is a long word that is no prefix of it."""
+    queries = draw(st.lists(bricks(space), max_size=6))
+    if draw(st.booleans()):
+        return draw(nested_bricks(space, 10)), queries
+    d = draw(st.integers(0, 40))
+    indexed = []
+    for i in range(d + 1):
+        for _ in range(draw(st.integers(1, 2))):
+            b = draw(bricks(space))
+            indexed.append(Brick(b.root, ((0,) * i,) + b.words[1:]))
+    indexed += draw(st.lists(st.sampled_from(indexed), max_size=4))
+    for i in range(d + 3):
+        b = draw(bricks(space))
+        queries.append(Brick(b.root, ((0,) * i + (1,),) + b.words[1:]))
+    return indexed, queries
+
+
 @SETTINGS
-@given(st.sampled_from(INDEX_SPACES).flatmap(
-    lambda sp: st.tuples(nested_bricks(sp, 10), st.lists(bricks(sp), max_size=6))))
-def test_brick_index_meeting_matches_brute_force(sides):
+@given(st.sampled_from(INDEX_SPACES).flatmap(index_cases))
+def test_brick_index_meeting_matches_brute_force(case):
     # b.intersect(q) is checked against points in
     # test_brick_meet_and_subtract_match_points
-    indexed, queries = sides
+    indexed, queries = case
+    indexed.sort()
     index = BrickIndex(indexed)
-    # words of every length from 0 to 4 sit on one level, and the queries
-    # are both shorter and longer than the indexed words
     for q in queries + indexed:
-        assert sorted(index.meeting(q)) == [i for i, b in enumerate(indexed) if b.intersect(q) is not None]
+        assert index.meeting(q) == [i for i, b in enumerate(indexed) if b.intersect(q) is not None]
 
 
 @SETTINGS
