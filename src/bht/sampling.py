@@ -38,12 +38,12 @@ def random_clopen(
     raise AssertionError("could not sample a clopen with the requested shape")
 
 
-def random_point(space: SpaceSpec, rng: random.Random, max_pre: int = 3, max_per: int = 2) -> RationalPoint:
+def random_point(space: SpaceSpec, rng: random.Random, max_pre: int = 3) -> RationalPoint:
+    """Random point whose coordinates have up to ``max_pre`` letters before a period of 1 or 2."""
     coords = []
-    for j in range(space.n):
-        k = space.kbar[j]
+    for k in space.kbar:
         pre = tuple(rng.randrange(k) for _ in range(rng.randrange(max_pre + 1)))
-        per = tuple(rng.randrange(k) for _ in range(rng.randint(1, max_per)))
+        per = tuple(rng.randrange(k) for _ in range(rng.randint(1, 2)))
         coords.append((pre, per))
     return RationalPoint(space, rng.randrange(space.r), coords)
 

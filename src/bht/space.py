@@ -34,7 +34,7 @@ are adjacent.  The kernels rest on this:
 For n >= 2 dimension-major order does not keep siblings adjacent (with the
 sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
 dimension 0 puts ``(0, 1)`` between its children), so :func:`merge_families`
-keeps a worklist there.
+keeps a queue of complete families there.
 
 Canonical form, in every dimension count: :func:`canonical_bricks` cuts the
 bricks of each root into a dimension-major decision tree with
@@ -47,11 +47,11 @@ one inside the last one kept, and run the family stack of
 :func:`merge_families`.  One stack pass over the sorted words finds the
 sections, and their forms come from one dimension up, so the only recursion
 is once per dimension.  For n = 1 the cut is the canonical form; for n >= 2
-families can remain across leaves of different sections, and the worklist
-of :func:`merge_families` (which also normalises prefix-exchange tables in
-:mod:`bht.element`, a brick entering as the cell ``(b, b)``) merges them: it
-buckets the cells by family once, per dimension, and each merge touches only
-the buckets of the cells it removes and adds.  Bricks are finally sorted by
+families can remain across leaves of different sections, and
+:func:`merge_families` (which also normalises prefix-exchange tables in
+:mod:`bht.element`, a brick entering as the cell ``(b, b)``) merges them in
+the order of one queue of complete families, each merge touching only the
+families of the cells it removes and adds.  Bricks are finally sorted by
 root, then dimension-major with prefixes first.
 
 Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
@@ -78,6 +78,7 @@ workers.
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SpaceMismatchError
@@ -292,16 +293,16 @@ def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
     cell ``(b, b)``.  The source bricks must be pairwise disjoint, as they
     are for every table, composite and section-tree output.
 
-    The kernel is a worklist.  For every dimension it keeps a bucket of the
-    live cells of each family, keyed by the parent, and the set of complete
-    keys, and a merge updates only the buckets its cells belong to.  It
-    merges along dimension 0 until no family there is complete, in any
-    order: a cell lies in one family per dimension, so a dimension-0 merge
-    never breaks another dimension-0 family, and its parent, being disjoint
-    from every other cell, is new.  Hence all orders reach the same cells.
-    Families along different dimensions may share cells, so it then merges
-    only the smallest complete parent of the lowest such dimension and goes
-    back to dimension 0, which keeps the result deterministic.
+    The kernel keeps the live cells of each family under the key (dimension,
+    parent) and queues the keys of complete families.  It merges a
+    dimension-0 key while there is one, in any order: a cell lies in one
+    family per dimension, so a dimension-0 merge never breaks another
+    dimension-0 family, and its parent, being disjoint from every other
+    cell, is new.  Families along different dimensions may share cells, so
+    it then merges the smallest higher key, lowest dimension first, from a
+    heap.  A merge takes its cells out of their other families, and a queued
+    key whose family has lost a cell is skipped (cells only grow, so no
+    family regains one and no key is queued twice).
 
     In one dimension the cells are sorted and go through the family stack
     (see :func:`_family_stack`) instead.
@@ -310,54 +311,43 @@ def merge_families(space: SpaceSpec, cells: Iterable[Cell]) -> list[Cell]:
         return _family_stack(space.kbar[0], sorted(cells))
     kbar = space.kbar
     dims = range(space.n)
-    # live cell -> its family key per dimension (None outside any family)
-    live: dict[Cell, list] = {}
-    buckets: list[dict[tuple, set[Cell]]] = [{} for _ in dims]
-    complete: list[set[tuple]] = [set() for _ in dims]
+    families: dict[tuple, set[Cell]] = {}
+    # live cell -> the keys of its families
+    live: dict[Cell, list[tuple]] = {}
+    dim0: list[tuple] = []
+    heap: list[tuple] = []
 
     def enter(cell: Cell):
         d, r = cell
-        keys = []
+        keys = live[cell] = []
         for j in dims:
             dw, rw = d.words[j], r.words[j]
             if dw and rw and dw[-1] == rw[-1]:
-                key = (d.root, d.words[:j] + (dw[:-1],) + d.words[j + 1:],
+                # keys sort as (j, parent cell (Brick(dr, dp), Brick(rr, rp)))
+                key = (j, d.root, d.words[:j] + (dw[:-1],) + d.words[j + 1:],
                        r.root, r.words[:j] + (rw[:-1],) + r.words[j + 1:])
-                members = buckets[j].setdefault(key, set())
+                members = families.setdefault(key, set())
                 members.add(cell)
+                keys.append(key)
                 if len(members) == kbar[j]:
-                    complete[j].add(key)
-            else:
-                key = None
-            keys.append(key)
-        live[cell] = keys
-
-    def merge(key: tuple, dim: int):
-        # the family's own bucket goes; its cells leave the other dimensions
-        complete[dim].discard(key)
-        for cell in buckets[dim].pop(key):
-            for j, k in enumerate(live.pop(cell)):
-                if k is not None and j != dim:
-                    members = buckets[j][k]
-                    members.remove(cell)
-                    complete[j].discard(k)
-                    if not members:
-                        del buckets[j][k]
-        dr, dp, rr, rp = key
-        enter((Brick(dr, dp), Brick(rr, rp)))
+                    if j:
+                        heappush(heap, key)
+                    else:
+                        dim0.append(key)
 
     for cell in cells:
         enter(cell)
-    while True:
-        while complete[0]:
-            merge(complete[0].pop(), 0)
-        # flat keys sort as the parent cells (Brick(dr, dp), Brick(rr, rp)) do
-        for j in dims[1:]:
-            if complete[j]:
-                merge(min(complete[j]), j)
-                break
-        else:
-            return sorted(live)
+    while dim0 or heap:
+        key = dim0.pop() if dim0 else heappop(heap)
+        if len(families[key]) != kbar[key[0]]:
+            continue
+        for cell in families.pop(key):
+            for other in live.pop(cell):
+                if other != key:
+                    families[other].remove(cell)
+        _, dr, dp, rr, rp = key
+        enter((Brick(dr, dp), Brick(rr, rp)))
+    return sorted(live)
 
 
 def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:

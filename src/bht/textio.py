@@ -5,9 +5,9 @@ All formats are line based, UTF-8, LF: only LF ends a line, and other line
 break characters such as form feed count as spaces.  Blank lines and lines
 starting with '#' may appear anywhere and are skipped; errors name the line
 of the file.
-Words are spelled with the base-36 digits 0-9a-z ('e' is the empty word), so
-alphabets up to 36 letters are supported.  An object is a header line and
-then one brick or cell per line:
+Words are spelled with the digits 0-9a-d ('e' is the empty word), so an
+alphabet has at most 14 letters, and a header names n, k and r once each.
+An object is a header line and then one brick or cell per line:
 
     space n=2 k=2,3 r=1        a clopen, one brick 'root:0 0,e' per line
     table n=1 k=2 r=1          a full table, one 'root:0 0 -> root:0 1' per line
@@ -29,7 +29,7 @@ from .element import PrefixBijection, TableElement
 from .errors import DomainError, ParseError
 from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word, binary_space
 
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGITS = "0123456789abcd"
 _LETTERS = {c: a for a, c in enumerate(_DIGITS)}
 _HEADERS = {"space": Clopen, "table": TableElement, "bisection": PrefixBijection,
             "vpair": TableElement}
@@ -66,6 +66,10 @@ def _parse_space_fields(rest: list[str], line: int) -> SpaceSpec:
         if "=" not in item:
             raise ParseError("expected key=value, got %r" % item, line)
         key, _, value = item.partition("=")
+        if key not in ("n", "k", "r"):
+            raise ParseError("unknown header field %r" % key, line)
+        if key in fields:
+            raise ParseError("repeated header field %r" % key, line)
         fields[key] = value
     try:
         n = int(fields["n"])
@@ -185,6 +189,7 @@ def format_bisection(b: PrefixBijection) -> str:
 
 
 def format_point(p: RationalPoint) -> str:
+    _spellable(p.space)
     coords = ",".join(
         "%s(%s)" % (format_word(pre), format_word(per)) for pre, per in p.coords
     )

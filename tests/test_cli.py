@@ -264,11 +264,17 @@ def test_exit_codes(capsys, tmp_path):
     # a file of the wrong kind is refused at its header line
     part = write(tmp_path, "b.bis", format_bisection(compress(clp(V2, "0"), V2.full())))
     table = write(tmp_path, "t.tbl", format_table(TableElement(V2, [(B(0, "e"), B(0, "e"))])))
-    # an alphabet that base-36 digits cannot spell is refused at the header
+    # an alphabet that the digits 0-9a-d cannot spell, or a header field other
+    # than n, k and r, is refused at the header
     big = write(tmp_path, "big.clp", "space n=1 k=37 r=1\nroot:0 0\n")
     big_table = write(tmp_path, "big.tbl", "table n=1 k=40 r=1\nroot:0 e -> root:0 e\n")
+    # at k = 16 the letter 14 would be written 'e', the empty word
+    sixteen = write(tmp_path, "a16.clp", "space n=1 k=16 r=1\n%s\n" % "\n".join(
+        "root:0 %s" % c for c in "0123456789abcdf"))
+    root = write(tmp_path, "r16.clp", "space n=1 k=16 r=1\nroot:0 e\n")
+    odd = write(tmp_path, "odd.clp", "space n=1 k=2 r=1 foo=3\nroot:0 0\n")
     for argv in (["invert", part], ["double", table], ["double", big], ["invert", big_table],
-                 ["order", "--max", "3", big_table]):
+                 ["order", "--max", "3", big_table], ["compress", sixteen, root], ["double", odd]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("parse error: line 1: "), argv
 

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bht.abelian import AbelianGroup  # noqa: E402
 from bht.cli import main  # noqa: E402
@@ -35,7 +35,7 @@ from bht.witness import (  # noqa: E402
     doubling_witness, multisection, vigor_case, vigor_witness,
 )
 from util import (  # noqa: E402
-    V2, V3, V23, V2x2, clp, compose_cells_all_pairs, compressibility_claims, conjugate_blocks,
+    B, V2, V3, V23, V2x2, clp, compose_cells_all_pairs, compressibility_claims, conjugate_blocks,
     conjugate_claims, cycle_claims, embed_claims, evaluate_embedding_validated, invariant_factors_by_primes,
     measure, merge_families_rounds, oracle_agree, refine, section_words_levels, set_claims, vpair_text,
     word_bisection,
@@ -246,6 +246,12 @@ def raw_composites(draw):
 # twice the examples, so that the spaces of two and three dimensions get as many as before
 @settings(SETTINGS, max_examples=2 * SETTINGS.max_examples)
 @given(raw_composites())
+# merging 10,0 and 11,0, then 1,10 and 1,11, leaves 1,1 in two complete
+# families, with 0,1 along dimension 0 and with 1,0 along dimension 1; the
+# rule takes dimension 0 first (e,1 and 1,0), where merging each dimension-1
+# family as soon as it forms would give 0,1 and 1,e
+@example((V2x2, [tuple(B(0, *side.split(",")) for side in cell.split(" -> ")) for cell in (
+    "0,00 -> 0,01", "0,01 -> 0,00", "0,1 -> 0,1", "1,10 -> 1,10", "1,11 -> 1,11", "10,0 -> 10,0", "11,0 -> 11,0")]))
 def test_merge_families_matches_rounds(composite):
     space, cells = composite
     assert merge_families(space, cells) == merge_families_rounds(space, cells)

@@ -114,6 +114,8 @@ def test_point_round_trip():
         assert parse_point(format_point(p), space) == p
     assert format_point(pt(V2, ("e", "0"))) == "root:0 e(0)"
     assert parse_point("root:0 1(0)", V2) == pt(V2, ("1", "0"))
+    with pytest.raises(ParseError, match="^alphabet too large for the text format$"):
+        format_point(random_point(SpaceSpec(1, (15,), 1), rng))
 
 
 def test_parse_errors_report_lines():
@@ -129,13 +131,29 @@ def test_parse_errors_report_lines():
         parse_point("0(1)", V2)
     with pytest.raises(ParseError):
         parse("space n=1 k=99 r=x\n", Clopen)
-    # headers that parse but describe no space
+    # headers that parse but describe no space, or one the digits cannot spell
     for header, message in (("space n=1 k=1 r=1", "every alphabet size must be >= 2"),
-                            ("space n=0 k=2 r=1", "dimension count must be >= 1")):
+                            ("space n=0 k=2 r=1", "dimension count must be >= 1"),
+                            # 'e' is the empty word, so the letters are 0-9a-d
+                            ("space n=1 k=15 r=1", "alphabet too large for the text format")):
         with pytest.raises(ParseError, match="^line 2: %s$" % message):
             parse("# comment\n%s\nroot:0 e\n" % header, Clopen)
         with pytest.raises(ParseError, match="^line 1: %s$" % message):
             parse(header.replace("space", "table") + "\nroot:0 e -> root:0 e\n", TableElement)
+    # a header gives n, k and r once each
+    for header, message in (("space n=1 k=2 r=1 foo=3", "unknown header field 'foo'"),
+                            ("table n=1 k=2 r=1 colour=red", "unknown header field 'colour'"),
+                            ("space n=1 k=2 r=1 r=1 n=1", "repeated header field 'r'")):
+        body = "root:0 e -> root:0 e" if header.startswith("table") else "root:0 e"
+        with pytest.raises(ParseError, match="^line 1: %s$" % message):
+            parse("%s\n%s\n" % (header, body))
+
+
+def test_one_letter_words_round_trip_at_fourteen_letters():
+    space = SpaceSpec(1, (14,), 1)
+    for a in range(14):
+        x = Clopen(space, [Brick(0, ((a,),))])
+        assert parse(format_clopen(x), Clopen) == x
 
 
 def test_witness_round_trip():
