@@ -12,19 +12,28 @@ clopens and word-problem test reads its cells from
 :func:`bht.space.compose_cells`, which visits only pairs of bricks that
 really meet, builds each cell in one pass and keeps the brick of a side
 that gains no letters (both, at an exact meet: a target of g that is a
-source of f).  The disjointness check on construction first tests the
-sorted neighbours' roots and dimension-0 words: two such keys nest only
-when one word is a prefix of the other, and every key sorted between them
-extends the shorter, so when no neighbour's key lies in the one before it
-the keys form a prefix code and the bricks are disjoint, in any dimension
-count.  Otherwise every brick is looked up in a
-:class:`bht.space.BrickIndex`, so the error names the first brick of the
-list, in the order given, that meets another, and its first partner.
+source of f).
 
 Validate input, not results: the constructors of both classes check cells
 from outside (``textio.parse``, ``sampling``, library callers); whatever the
 package derives from checked objects is correct by construction and built by
-``_wrap``, unchecked.
+``_wrap``, unchecked.  Each check reads the whole list.  The roots and
+letters of every brick go through one :meth:`bht.space.Brick.validate`
+call, which looks for the first bad brick only when the batch fails.  Each
+side is sorted once.  The disjointness check first tests the sorted
+neighbours' roots and dimension-0 words: two such keys nest only when one
+word is a prefix of the other, and every key sorted between them extends
+the shorter, so when no neighbour's key lies in the one before it the keys
+form a prefix code and the bricks are disjoint, in any dimension count.
+Otherwise the sorted side is put in a :class:`bht.space.BrickIndex`, and
+each brick walks up the links of its own dimension-0 word only, meeting the
+bricks under the words that hold it in the higher dimensions
+(:meth:`bht.space.BrickIndex.overlaps`).  Of two bricks that meet, one
+dimension-0 word holds the other, so the brick with the longer word sees
+the pair, and the error names the least pair in the order given: the first
+brick of the list that meets another, and its first partner.  Coverage
+sums, over the bricks, products of powers read from one column of word
+lengths per dimension.
 ``compose``, ``invert`` and ``canonicalize`` keep the sorted output of
 :func:`bht.space.merge_families` as it is.  For one-dimensional spaces the
 canonical form is the classical reduced table and is unique per element; in
@@ -33,7 +42,8 @@ semantically (``equals``), never by comparing cell lists.
 """
 
 from dataclasses import dataclass
-from math import prod
+from itertools import chain
+from operator import mul
 from typing import Iterable
 
 from .errors import DomainError
@@ -49,23 +59,28 @@ def _head_inside(b: Brick, a: Brick) -> bool:
     return b.root == a.root and b.words[0][:len(w)] == w
 
 
-def _check_disjoint(side: str, bricks: list[Brick]):
-    """Raise on the first brick that meets another, naming its first partner.
+def _check_disjoint(side: str, bricks: list[Brick], ordered: list[Brick] | None = None):
+    """Raise on the first brick, in the order given, that meets another,
+    naming its first partner.  ``ordered`` is ``sorted(bricks)`` when the
+    caller has it.
 
     A list whose roots and dimension-0 words form a prefix code, as its
     sorted neighbours show (see the module docstring), passes at once.
+    Otherwise the sorted list is indexed and every brick walks up its
+    dimension-0 links only (see :meth:`bht.space.BrickIndex.overlaps`),
+    which finds every pair that meets; the pair named is the least one in
+    the order given.
     """
-    ordered = sorted(bricks)
+    if ordered is None:
+        ordered = sorted(bricks)
     if not any(map(_head_inside, ordered[1:], ordered)):
         return
-    index = BrickIndex(ordered)
-    for i, b in enumerate(bricks):
-        hits = index.meeting(b)
-        if len(hits) > 1:
-            # ordered[j] is bricks[order[j]]
-            order = sorted(range(len(bricks)), key=bricks.__getitem__)
-            partner = min(order[j] for j in hits if order[j] != i)
-            raise DomainError("%s bricks overlap: %r, %r" % (side, b, bricks[partner]))
+    pairs = list(BrickIndex(ordered).overlaps())
+    if pairs:
+        # ordered[j] is bricks[order[j]]
+        order = sorted(range(len(bricks)), key=bricks.__getitem__)
+        i, j = min(sorted((order[p], order[q])) for p, q in pairs)
+        raise DomainError("%s bricks overlap: %r, %r" % (side, bricks[i], bricks[j]))
 
 
 def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:
@@ -73,13 +88,19 @@ def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:
 
     With D_j the deepest word length in dimension j, the space is r * prod_j
     k_j^D_j bricks of that depth, and a brick with words w_j holds
-    prod_j k_j^(D_j - |w_j|) of them.
+    prod_j k_j^(D_j - |w_j|) of them.  The word lengths are read one column
+    (dimension) at a time.
     """
-    deepest = [max((len(b.words[j]) for b in bricks), default=0) for j in range(space.n)]
-    # powers[j][i] = k_j^(D_j - i)
-    powers = [[k ** (d - i) for i in range(d + 1)] for k, d in zip(space.kbar, deepest)]
-    held = sum(prod(p[len(w)] for p, w in zip(powers, b.words)) for b in bricks)
-    return held == space.r * prod(p[0] for p in powers)
+    held = [1] * len(bricks)
+    whole = space.r
+    for k, column in zip(space.kbar, zip(*[b.words for b in bricks])):
+        lengths = list(map(len, column))
+        deepest = max(lengths)
+        # powers[i] = k^(deepest - i)
+        powers = [k ** (deepest - i) for i in range(deepest + 1)]
+        held = map(mul, held, map(powers.__getitem__, lengths))
+        whole *= powers[0]
+    return sum(held) == whole
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -94,12 +115,12 @@ class PrefixBijection:
     cells: tuple[Cell, ...]
 
     def __init__(self, space: SpaceSpec, cells: Iterable[Cell]):
-        cells = sorted(tuple(c) for c in cells)
-        for d, r in cells:
-            d.validate(space)
-            r.validate(space)
-        _check_disjoint("source", [d for d, _ in cells])
-        _check_disjoint("target", sorted(r for _, r in cells))
+        cells = sorted(map(tuple, cells))
+        Brick.validate(space, list(chain.from_iterable(cells)))
+        sources = [d for d, _ in cells]
+        targets = sorted(r for _, r in cells)
+        _check_disjoint("source", sources, sources)
+        _check_disjoint("target", targets, targets)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cells", tuple(cells))
 
@@ -160,6 +181,11 @@ def extend_by_identity(space: SpaceSpec, cells: list[Cell]) -> TableElement:
     return TableElement._wrap(space, merge_families(space, cells + [(x, x) for x in rest.bricks]))
 
 
+def inverse_cells(g: PrefixBijection) -> list[Cell]:
+    """The cells of g^-1 as g lists them, unsorted and unmerged."""
+    return [(r, d) for d, r in g.cells]
+
+
 def compose_partial(f: PrefixBijection, g: PrefixBijection) -> PrefixBijection:
     """Partial composite f after g, defined where the images line up."""
     f.space.check_same(g.space)
@@ -167,7 +193,7 @@ def compose_partial(f: PrefixBijection, g: PrefixBijection) -> PrefixBijection:
 
 
 def invert_partial(b: PrefixBijection) -> PrefixBijection:
-    return PrefixBijection._wrap(b.space, sorted((r, d) for d, r in b.cells))
+    return PrefixBijection._wrap(b.space, sorted(inverse_cells(b)))
 
 
 def compose(f: TableElement, g: TableElement) -> TableElement:
@@ -178,7 +204,7 @@ def compose(f: TableElement, g: TableElement) -> TableElement:
 
 def invert(g: TableElement) -> TableElement:
     """Inverse table, canonicalized."""
-    return TableElement._wrap(g.space, merge_families(g.space, [(r, d) for d, r in g.cells]))
+    return TableElement._wrap(g.space, merge_families(g.space, inverse_cells(g)))
 
 
 def canonicalize(g: TableElement) -> TableElement:
@@ -186,24 +212,32 @@ def canonicalize(g: TableElement) -> TableElement:
     return TableElement._wrap(g.space, merge_families(g.space, g.cells))
 
 
-def is_identity(g: TableElement) -> bool:
-    """Whether every cell of g has equal source and target brick.
+def identity_cells(cells: Iterable[Cell]) -> bool:
+    """Whether every cell has equal source and target brick.
 
-    The test is exact on any cell partition, canonical or not.  A cell with
+    On the cells of a table, or the raw cells of a composite of tables, the
+    test is exact on any cell partition, canonical or not.  A cell with
     distinct source and target bricks moves a dense subset of its source
     cylinder: its fixed part is a product of at most one ultimately periodic
-    point per dimension, which has empty interior.
+    point per dimension, which has empty interior.  The cells may come
+    lazily; the test stops at the first moving one.
     """
-    return all(d == r for d, r in g.cells)
+    return all(d == r for d, r in cells)
+
+
+def is_identity(g: TableElement) -> bool:
+    """Whether g is the identity, on its cells as they are (see
+    :func:`identity_cells`)."""
+    return identity_cells(g.cells)
 
 
 def equals(f: TableElement, g: TableElement) -> bool:
     """Word problem: whether f and g agree as homeomorphisms.
 
-    Tests the raw cells of f after g^-1 as :func:`is_identity` does.
+    Tests the raw cells of f after g^-1 with :func:`identity_cells`.
     """
     f.space.check_same(g.space)
-    return all(d == r for d, r in compose_cells(f.cells, [(r, d) for d, r in g.cells]))
+    return identity_cells(compose_cells(f.cells, inverse_cells(g)))
 
 
 def apply_point(g: PrefixBijection, p: RationalPoint) -> RationalPoint:
@@ -230,7 +264,7 @@ def closed_support(g: TableElement) -> Clopen:
     """Closure of the moved-point set, as a clopen.
 
     A non-identity cell moves a dense part of its source (see
-    :func:`is_identity`), so on any cell partition the closure is exactly the
+    :func:`identity_cells`), so on any cell partition the closure is exactly the
     union of the source cylinders of the non-identity cells.
     """
     return Clopen._wrap(g.space, [d for d, r in g.cells if d != r])
@@ -239,7 +273,7 @@ def closed_support(g: TableElement) -> Clopen:
 def order(g: TableElement, bound: int):
     """Least m <= bound with g^m the identity, or None when the bound is hit.
 
-    Each power is tested on its raw cells (see :func:`is_identity`).
+    Each power is tested on its raw cells (see :func:`identity_cells`).
     """
     if bound < 1:
         raise DomainError("order bound must be >= 1")

@@ -23,13 +23,17 @@ are adjacent.  The kernels rest on this:
 - :class:`BrickIndex` is the sweep once per dimension: each level keeps
   the words of a run of a sorted brick list, their links and what lies
   below each word, and :func:`compose_cells` looks each target of g up
-  among f's sorted sources there, with two bisections per level it enters;
+  among f's sorted sources there, with two bisections per level it enters.
+  A run of one brick builds no level: it is kept as the brick's position (a
+  leaf), and a query that reaches it compares words with that brick in the
+  dimensions left, so a small table's index is mostly leaves;
 - :func:`merge_families`, in one dimension, runs one stack over the sorted
   cells and replaces the k cells of each complete family by their parent,
   which sorts where they were;
 - ``element._check_disjoint`` accepts at once, in any dimension count, a
   list whose roots and dimension-0 words form a prefix code, which its
-  sorted neighbours show.
+  sorted neighbours show; otherwise each brick walks only up the links of
+  its own dimension-0 word (:meth:`BrickIndex.overlaps`).
 
 For n >= 2 dimension-major order does not keep siblings adjacent (with the
 sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
@@ -62,9 +66,10 @@ through :class:`BrickIndex` in every dimension count.  :func:`compose_cells`
 builds the cell of each meet it finds in one pass over the dimensions, and
 a side that gains no letters keeps its brick as it is.
 
-``Clopen(...)`` checks its bricks against the space and runs only on bricks
-from outside (``textio.parse``, ``sampling`` and library callers).  Every
-clopen derived from checked objects (set operations, the empty and full sets,
+``Clopen(...)`` checks its bricks against the space, the whole list at once
+(:meth:`Brick.validate`), and runs only on bricks from outside
+(``textio.parse``, ``sampling`` and library callers).  Every clopen derived
+from checked objects (set operations, the empty and full sets,
 sources, images and supports of bisections, and the pieces the witness and
 embedding constructors cut) is built by ``Clopen._wrap``, which canonicalizes
 without checking.
@@ -154,14 +159,30 @@ class Brick(NamedTuple):
     root: int
     words: tuple[Word, ...]
 
-    def validate(self, space: SpaceSpec):
-        if not 0 <= self.root < space.r:
-            raise DomainError("root %d out of range" % self.root)
-        if len(self.words) != space.n:
-            raise DomainError("brick has %d words, expected %d" % (len(self.words), space.n))
-        for j, (w, k) in enumerate(zip(self.words, space.kbar)):
-            if w and (min(w) < 0 or max(w) >= k):
-                raise DomainError("letter out of range in dimension %d" % j)
+    @staticmethod
+    def validate(space: SpaceSpec, bricks: list["Brick"]):
+        """Raise on the first brick of the list whose root, word count or a
+        letter is out of range for ``space``.
+
+        The list is checked as a whole: the set of its roots, the set of its
+        word counts and, one dimension at a time, the set of the letters of
+        that column of words.  Only when that fails are the bricks read in
+        order, to name the first bad one.
+        """
+        r, n = space.r, space.n
+        roots, words = zip(*bricks) if bricks else ((), ())
+        if (all(0 <= root < r for root in set(roots)) and set(map(len, words)) <= {n}
+                and all(0 <= a < k for k, column in zip(space.kbar, zip(*words))
+                        for a in set().union(*column))):
+            return
+        for b in bricks:
+            if not 0 <= b.root < r:
+                raise DomainError("root %d out of range" % b.root)
+            if len(b.words) != n:
+                raise DomainError("brick has %d words, expected %d" % (len(b.words), n))
+            for j, (w, k) in enumerate(zip(b.words, space.kbar)):
+                if w and (min(w) < 0 or max(w) >= k):
+                    raise DomainError("letter out of range in dimension %d" % j)
 
     def depth(self) -> int:
         return sum(len(w) for w in self.words)
@@ -357,22 +378,37 @@ def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
 
     A cell may complete a family only when its source and target both end in
     the last letter k - 1, and then the family's other cells are the k - 1
-    cells just below it on the stack.  Those k cells give way to their
-    parent, which sorts where they were and may complete a family in turn,
-    so the stack is always the sorted, merged form of the cells read so far.
+    cells just below it on the stack: the a-th of them has the cell's roots,
+    a source and a target as long as the cell's, both ending in the letter a,
+    and the cell's source and target parents before that letter.  The test
+    reads those fields of the stacked cells and builds nothing, so most
+    candidates fail on their first length or letter.  The k cells give way
+    to their parent, which sorts where they were and may complete a family
+    in turn, so the stack is always the sorted, merged form of the cells read
+    so far.
     """
     last = k - 1
     stack: list[Cell] = []
     for cell in cells:
         d, r = cell
         dw, rw = d[1][0], r[1][0]
-        while dw and rw and dw[-1] == last == rw[-1]:
+        while dw and rw and dw[-1] == last == rw[-1] and len(stack) >= last:
+            n, m = len(dw), len(rw)
             dp, rp = dw[:-1], rw[:-1]
-            if stack[-last:] != [((d[0], (dp + (a,),)), (r[0], (rp + (a,),))) for a in range(last)]:
-                break
-            del stack[-last:]
-            d, r, dw, rw = Brick(d[0], (dp,)), Brick(r[0], (rp,)), dp, rp
-            cell = (d, r)
+            base = len(stack) - last
+            for a in range(last):
+                s, t = stack[base + a]
+                sw, tw = s[1][0], t[1][0]
+                if (len(sw) != n or sw[-1] != a or len(tw) != m or tw[-1] != a
+                        or s[0] != d[0] or t[0] != r[0] or sw[:-1] != dp or tw[:-1] != rp):
+                    break
+            else:
+                # the k - 1 stacked cells and this one are a family: merge
+                del stack[base:]
+                d, r, dw, rw = Brick(d[0], (dp,)), Brick(r[0], (rp,)), dp, rp
+                cell = (d, r)
+                continue
+            break
         stack.append(cell)
     return stack
 
@@ -400,17 +436,18 @@ _PAST = (math.inf,)
 
 
 def _index_level(bricks: list[Brick], lo: int, hi: int, dim: int) -> tuple[list, list, list | range]:
-    """One level of a :class:`BrickIndex`: the sorted run ``bricks[lo:hi]``,
-    whose bricks share their root and their words below ``dim``, as (its
-    dim-th words in order, for each word the nearest earlier word that holds
-    it or -1, and what lies below each word).
+    """One level of a :class:`BrickIndex`: the sorted run ``bricks[lo:hi]``
+    of two or more bricks, which share their root and their words below
+    ``dim``, as (its dim-th words in order, for each word the nearest earlier
+    word that holds it or -1, and what lies below each word).
 
-    Below a word lies the level of the next dimension over the bricks that
-    have it, so in the dimensions before the last each word is kept once.
-    In the last dimension every brick keeps its word, a repeat holding the
-    one before it, and below each word lies its position: ``below`` is
-    ``range(lo, hi)``.  The links come from one stack of the words that hold
-    the last one.
+    Below a word lies what the next dimension keeps of the bricks that have
+    it, so in the dimensions before the last each word is kept once: the
+    position of its brick when it has one (a leaf), else the level of the
+    next dimension over its run.  In the last dimension every brick keeps its
+    word, a repeat holding the one before it, and below each word lies its
+    position: ``below`` is ``range(lo, hi)``.  The links come from one stack
+    of the words that hold the last one.
     """
     last = dim + 1 == len(bricks[lo].words)
     words: list[Word] = []
@@ -431,7 +468,8 @@ def _index_level(bricks: list[Brick], lo: int, hi: int, dim: int) -> tuple[list,
     if last:
         return words, up, range(lo, hi)
     starts.append(hi)
-    return words, up, [_index_level(bricks, p, q, dim + 1) for p, q in zip(starts, starts[1:])]
+    return words, up, [p if q - p == 1 else _index_level(bricks, p, q, dim + 1)
+                       for p, q in zip(starts, starts[1:])]
 
 
 class BrickIndex:
@@ -445,20 +483,23 @@ class BrickIndex:
     predecessor to the first word that holds w, takes that word and the
     words that hold it, and takes the extensions of w as the run
     ``[w, w + (inf,))``.  So it visits only branches that really meet, with
-    two bisections per level.
+    two bisections per level.  A run of one brick is kept as its position (a
+    leaf) and builds no level: a query that reaches it compares its words
+    with the brick's in the dimensions left.
     """
 
-    __slots__ = ("_roots",)
+    __slots__ = ("_bricks", "_roots")
 
     def __init__(self, bricks: list[Brick]):
         """Index ``bricks``, which must be sorted."""
+        self._bricks = bricks
         self._roots = roots = {}
         lo = 0
         while lo < len(bricks):
             root = bricks[lo].root
             # every brick at this root sorts before (root + 1,)
             hi = bisect_right(bricks, (root + 1,), lo)
-            roots[root] = _index_level(bricks, lo, hi, 0)
+            roots[root] = lo if hi - lo == 1 else _index_level(bricks, lo, hi, 0)
             lo = hi
 
     def meeting(self, b: Brick) -> list[int]:
@@ -466,10 +507,46 @@ class BrickIndex:
         level = self._roots.get(b.root)
         if level is None:
             return []
-        levels = [level]
-        for w in b.words:
+        return self._below([level], b, 0)
+
+    def overlaps(self) -> Iterator[tuple[int, int]]:
+        """Pairs of positions of indexed bricks that meet, every such pair at
+        least once.
+
+        Of two bricks that meet, one dimension-0 word holds the other, so the
+        brick with the longer one sees the pair from its own word: each brick
+        walks up the links of its dimension-0 word (itself and the words that
+        hold it) and meets what lies below them in the higher dimensions.  No
+        brick looks down at its extensions.
+        """
+        for p, b in enumerate(self._bricks):
+            level = self._roots[b.root]
+            if level.__class__ is int:
+                continue
+            words, up, below = level
+            i = bisect_right(words, b.words[0]) - 1
+            held = []
+            while i >= 0:
+                held.append(below[i])
+                i = up[i]
+            for q in self._below(held, b, 1):
+                if q != p:
+                    yield p, q
+
+    def _below(self, levels: list, b: Brick, dim: int) -> list[int]:
+        """Positions of the bricks under ``levels`` (levels of dimension
+        ``dim`` and leaves) that meet ``b`` in the dimensions from ``dim`` on,
+        in the order of ``levels``."""
+        bricks = self._bricks
+        for w in b.words[dim:]:
             found = []
-            for words, up, below in levels:
+            for level in levels:
+                if level.__class__ is int:
+                    v = bricks[level].words[dim]
+                    if w[:len(v)] == v or v[:len(w)] == w:
+                        found.append(level)
+                    continue
+                words, up, below = level
                 lo = bisect_left(words, w)
                 i = lo - 1
                 while i >= 0 and w[:len(words[i])] != words[i]:
@@ -483,6 +560,7 @@ class BrickIndex:
                     found += held
                 found += below[lo:bisect_left(words, w + _PAST, lo)]
             levels = found
+            dim += 1
         return levels
 
 
@@ -538,8 +616,7 @@ class Clopen:
 
     def __init__(self, space: SpaceSpec, bricks: Iterable[Brick]):
         bricks = list(bricks)
-        for b in bricks:
-            b.validate(space)
+        Brick.validate(space, bricks)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "bricks", canonical_bricks(space, bricks))
 

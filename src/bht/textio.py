@@ -165,11 +165,10 @@ def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
         # name the line of the first brick out of range; overlap and
         # coverage errors belong to the header
         for (no, _), item in zip(lines[1:], items):
-            for brick in [item] if kind is Clopen else item:
-                try:
-                    brick.validate(space)
-                except DomainError as bad:
-                    raise ParseError(str(bad), no) from None
+            try:
+                Brick.validate(space, [item] if kind is Clopen else list(item))
+            except DomainError as bad:
+                raise ParseError(str(bad), no) from None
         raise ParseError(str(err), lineno) from None
 
 

@@ -24,12 +24,14 @@ from .element import (
     extend_by_identity,
     identity,
     image_clopen,
-    invert,
+    inverse_cells,
     invert_partial,
     is_identity,
 )
 from .errors import ClassMismatchError, DomainError, UnsatisfiableError
-from .space import Brick, Clopen, RationalPoint, SpaceSpec, h0_class, point_in, subdivide
+from .space import (
+    Brick, Clopen, RationalPoint, SpaceSpec, compose_cells, h0_class, merge_families, point_in, subdivide,
+)
 
 
 def compress(a: Clopen, b: Clopen) -> PrefixBijection:
@@ -264,13 +266,16 @@ def conjugate_family(g: TableElement, count: int) -> ConjugateFamily:
     while len(pieces) < count:
         pieces = subdivide(space, pieces[0], 0) + pieces[1:]
     targets = tuple(Clopen._wrap(space, [p]) for p in pieces[:count])
-    outside = y1.complement()
     conjugators = []
     conjugates = []
     for w in targets:
-        h = vigor_witness(outside, img, w)
+        # vigor case b for (complement of y1, img, w): w lies in room, off y1
+        # and img, so the one cycle through w is the witness
+        h = _vigor_cycle(img, w)
         conjugators.append(h)
-        conjugates.append(compose(compose(h, gc), invert(h)))
+        # h g h^-1 from its raw cells, merged once
+        raw = compose_cells(h.cells, compose_cells(gc.cells, inverse_cells(h)))
+        conjugates.append(TableElement._wrap(space, merge_families(space, raw)))
     return ConjugateFamily(gc, y1, img, targets, tuple(conjugators), tuple(conjugates))
 
 

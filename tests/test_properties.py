@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import random
 import re
 from collections import Counter
@@ -29,7 +30,7 @@ from bht.textio import (  # noqa: E402
     Witness, format_clopen, format_point, format_table, format_witness, parse_witness,
 )
 from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
-from bht.verify import run_checks  # noqa: E402
+from bht.verify import _conjugated, run_checks  # noqa: E402
 from bht.witness import (  # noqa: E402
     bisection_between, brick_neighborhood, compress, compressibility_witness, conjugate_family,
     doubling_witness, multisection, vigor_case, vigor_witness,
@@ -216,6 +217,34 @@ def crossed_families(space, rng, parts):
     return parts[:i] + piece + parts[i + 1:]
 
 
+def double_completion(space, rng, parts):
+    """``parts`` as identity cells, with one brick P replaced by cells where
+    a merge along a dimension h >= 1 makes a cell C that completes a
+    dimension-0 family and a dimension-j family (j >= 1) at once.
+
+    P is cut along dimension 0 and then along j.  C, one of the pieces,
+    comes as its children along h; the pieces in C's row or column (its
+    siblings in the two families) are whole identity cells; every other
+    piece is cut along a random dimension and its children rotated, so that
+    no other family of P's pieces completes.  The rule merges C's
+    dimension-0 family; a kernel that merged the family queued last would
+    take the dimension-j one.
+    """
+    i, j, h = rng.randrange(len(parts)), rng.randrange(1, space.n), rng.randrange(1, space.n)
+    a, b = rng.randrange(space.kbar[0]), rng.randrange(space.kbar[j])
+    cells = [(q, q) for q in parts[:i] + parts[i + 1:]]
+    for x, row in enumerate(subdivide(space, parts[i], 0)):
+        for y, piece in enumerate(subdivide(space, row, j)):
+            if (x, y) == (a, b):
+                cells += [(q, q) for q in subdivide(space, piece, h)]
+            elif x == a or y == b:
+                cells.append((piece, piece))
+            else:
+                kids = subdivide(space, piece, rng.randrange(space.n))
+                cells += zip(kids, kids[1:] + kids[:1])
+    return cells
+
+
 @st.composite
 def raw_composites(draw):
     """A space and the unmerged cells of a composite, as compose and image_clopen
@@ -243,9 +272,21 @@ def raw_composites(draw):
     return space, cells
 
 
-# twice the examples, so that the spaces of two and three dimensions get as many as before
-@settings(SETTINGS, max_examples=2 * SETTINGS.max_examples)
-@given(raw_composites())
+@st.composite
+def double_completions(draw):
+    """A space of two or more dimensions and the cells of
+    :func:`double_completion`, in any order."""
+    space = draw(st.sampled_from([sp for sp in INDEX_SPACES if sp.n > 1]))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = double_completion(space, rng, random_partition(space, rng, splits=rng.randint(0, 8)))
+    rng.shuffle(cells)
+    return space, cells
+
+
+# three times the examples, so that the spaces of two and three dimensions
+# get as many raw composites as before, besides the double completions
+@settings(SETTINGS, max_examples=3 * SETTINGS.max_examples)
+@given(st.one_of(raw_composites(), double_completions()))
 # merging 10,0 and 11,0, then 1,10 and 1,11, leaves 1,1 in two complete
 # families, with 0,1 along dimension 0 and with 1,0 along dimension 1; the
 # rule takes dimension 0 first (e,1 and 1,0), where merging each dimension-1
@@ -364,16 +405,68 @@ def test_brick_meet_and_subtract_match_points(pair, rng):
         assert count == inside(t, b)
 
 
+def near(draw, space, b):
+    """A brick whose words are b's, a prefix or an extension of b's, or
+    random, dimension by dimension."""
+    words = []
+    for w, k in zip(b.words, space.kbar):
+        move = draw(st.sampled_from(["same", "prefix", "extension", "random"]))
+        if move == "prefix":
+            w = w[:draw(st.integers(0, len(w)))]
+        elif move == "extension":
+            w += tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)))
+        elif move == "random":
+            w = tuple(draw(st.lists(st.integers(0, k - 1), max_size=3)))
+        words.append(w)
+    return Brick(b.root, tuple(words))
+
+
+@st.composite
+def leaf_cases(draw, space):
+    """A spine brick, twice, and beside it a run of one brick at each
+    dimension, which the index keeps as a leaf: at dimension 0 the only
+    brick of its root (when there are two roots), and at dimension j >= 1
+    the only brick with the spine's root and words before j - 1 and its own
+    word at j - 1 (a prefix, an extension or a random other word).  The
+    brick that leaves the spine in the last dimension shares its last level
+    instead.  The queries land on each of them."""
+    spine = draw(bricks(space))
+    indexed = [spine, spine]
+    if space.r > 1:
+        lone = draw(bricks(space))
+        indexed.append(Brick(1 - spine.root, lone.words))
+    for j in range(1, space.n + 1):
+        b, w = draw(bricks(space)), spine.words[j - 1]
+        k = space.kbar[j - 1]
+        move = draw(st.sampled_from(["prefix", "extension", "random"]))
+        if move == "prefix" and w:
+            v = w[:draw(st.integers(0, len(w) - 1))]
+        elif move == "extension":
+            v = w + tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)))
+        else:
+            v = tuple(draw(st.lists(st.integers(0, k - 1), max_size=3)))
+            if v == w:
+                v += (0,)
+        indexed.append(Brick(spine.root, spine.words[:j - 1] + (v,) + b.words[j:]))
+    queries = [near(draw, space, b) for b in indexed for _ in range(3)]
+    return draw(st.permutations(indexed)), queries
+
+
 @st.composite
 def index_cases(draw, space):
     """Bricks to index and queries.  Either nested bricks with random queries,
-    or a chain: dimension-0 words e, 0, 00, ..., 0^d, each with one or two
-    random higher words, some repeats, and queries that leave the chain at
-    every depth and run past its end, so a query's predecessor in dimension 0
-    is a long word that is no prefix of it."""
+    or the runs of one brick of :func:`leaf_cases`, or a chain: dimension-0
+    words e, 0, 00, ..., 0^d, each with one or two random higher words, some
+    repeats, and queries that leave the chain at every depth and run past
+    its end, so a query's predecessor in dimension 0 is a long word that is
+    no prefix of it."""
     queries = draw(st.lists(bricks(space), max_size=6))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["nested", "leaves", "chain"]))
+    if shape == "nested":
         return draw(nested_bricks(space, 10)), queries
+    if shape == "leaves":
+        indexed, near_queries = draw(leaf_cases(space))
+        return indexed, queries + near_queries
     d = draw(st.integers(0, 40))
     indexed = []
     for i in range(d + 1):
@@ -397,6 +490,10 @@ def test_brick_index_meeting_matches_brute_force(case):
     index = BrickIndex(indexed)
     for q in queries + indexed:
         assert index.meeting(q) == [i for i, b in enumerate(indexed) if b.intersect(q) is not None]
+    # every pair of indexed bricks that meet, seen from at least one side
+    assert {frozenset(pair) for pair in index.overlaps()} == {
+        frozenset((i, j)) for i, j in itertools.combinations(range(len(indexed)), 2)
+        if indexed[i].intersect(indexed[j]) is not None}
 
 
 @SETTINGS
@@ -741,6 +838,41 @@ def test_verify_conjugates_agrees_with_independent_checker(space, seed, mutation
     claims = conjugate_claims(w.blocks, w.params)
     assert run_checks(w) == claims
     assert mutation is not None or all(ok for ok, _ in claims)
+
+
+def nontrivial_element(space, rng):
+    g = identity(space)
+    while is_identity(g):
+        g = random_element(space, rng, factors=2, splits=2)
+    return g
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES), SEEDS)
+def test_raw_cell_conjugacy_matches_equals(space, seed):
+    # verify decides c = h g h^-1 on the raw cells of c h g^-1 h^-1; it must
+    # answer as equals on the canonical products c h and h g, on a family's
+    # own triples and on mutated ones
+    rng = random.Random(seed)
+    fam = conjugate_family(nontrivial_element(space, rng), 3)
+    stranger = conjugate_family(nontrivial_element(space, rng), 1)
+    g, c, h = fam.base, fam.conjugates, fam.conjugators
+    # one cell of c[0] re-pointed to the target of another, which takes its target
+    cells = list(c[0].cells)
+    i, j = rng.sample(range(len(cells)), 2)
+    (di, ri), (dj, rj) = cells[i], cells[j]
+    cells[i], cells[j] = (di, rj), (dj, ri)
+    repointed = TableElement(space, cells)
+    triples = [(c[0], h[0], True), (c[1], h[1], True), (c[2], h[2], True),
+               # two conjugates swapped: distinct conjugates, so no match
+               (c[1], h[0], False), (c[0], h[1], False),
+               # a conjugator from another family
+               (c[0], stranger.conjugators[0], None),
+               (repointed, h[0], False)]
+    for ci, hi, expected in triples:
+        got = _conjugated(ci, hi, g)
+        assert got == equals(compose(ci, hi), compose(hi, g))
+        assert expected is None or got == expected
 
 
 def compressibility_blocks(condition, space, rng) -> tuple[dict, dict]:

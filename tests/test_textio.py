@@ -44,7 +44,8 @@ def test_clopen_file_checks_each_brick_once(monkeypatch):
     lines = format_clopen(x).splitlines()
     calls = []
     validate = Brick.validate
-    monkeypatch.setattr(Brick, "validate", lambda b, sp: calls.append(b) or validate(b, sp))
+    # the checker takes the whole list; record every brick it is handed
+    monkeypatch.setattr(Brick, "validate", lambda sp, bricks: calls.extend(bricks) or validate(sp, bricks))
     assert parse(format_clopen(x), Clopen) == x
     assert calls == list(x.bricks)
     # a bad letter on brick line k still names line k
