@@ -19,21 +19,16 @@ from outside (``textio.parse``, ``sampling``, library callers); whatever the
 package derives from checked objects is correct by construction and built by
 ``_wrap``, unchecked.  Each check reads the whole list.  The roots and
 letters of every brick go through one :meth:`bht.space.Brick.validate`
-call, which looks for the first bad brick only when the batch fails.  Each
-side is sorted once.  The disjointness check first tests the sorted
-neighbours' roots and dimension-0 words: two such keys nest only when one
-word is a prefix of the other, and every key sorted between them extends
-the shorter, so when no neighbour's key lies in the one before it the keys
-form a prefix code and the bricks are disjoint, in any dimension count.
-Otherwise the sorted side is put in a :class:`bht.space.BrickIndex`, and
-each brick walks up the links of its own dimension-0 word only, meeting the
-bricks under the words that hold it in the higher dimensions
-(:meth:`bht.space.BrickIndex.overlaps`).  Of two bricks that meet, one
-dimension-0 word holds the other, so the brick with the longer word sees
-the pair, and the error names the least pair in the order given: the first
-brick of the list that meets another, and its first partner.  Coverage
-sums, over the bricks, products of powers read from one column of word
-lengths per dimension.
+call, which looks for the first bad brick only when the batch fails.  The
+disjointness check first tests the sorted neighbours' roots and dimension-0
+words: two such keys nest only when one word is a prefix of the other, and
+every key sorted between them extends the shorter, so when no neighbour's
+key lies in the one before it the keys form a prefix code and the bricks
+are disjoint, in any dimension count.  Otherwise every brick is looked up
+in a :class:`bht.space.BrickIndex` of the sorted list, so the error names
+the first brick of the list, in the order given, that meets another, and
+its first partner.  Coverage sums, over the bricks, products of powers
+read from one column of word lengths per dimension.
 ``compose``, ``invert`` and ``canonicalize`` keep the sorted output of
 :func:`bht.space.merge_families` as it is.  For one-dimensional spaces the
 canonical form is the classical reduced table and is unique per element; in
@@ -59,28 +54,23 @@ def _head_inside(b: Brick, a: Brick) -> bool:
     return b.root == a.root and b.words[0][:len(w)] == w
 
 
-def _check_disjoint(side: str, bricks: list[Brick], ordered: list[Brick] | None = None):
-    """Raise on the first brick, in the order given, that meets another,
-    naming its first partner.  ``ordered`` is ``sorted(bricks)`` when the
-    caller has it.
+def _check_disjoint(side: str, bricks: list[Brick]):
+    """Raise on the first brick that meets another, naming its first partner.
 
     A list whose roots and dimension-0 words form a prefix code, as its
     sorted neighbours show (see the module docstring), passes at once.
-    Otherwise the sorted list is indexed and every brick walks up its
-    dimension-0 links only (see :meth:`bht.space.BrickIndex.overlaps`),
-    which finds every pair that meets; the pair named is the least one in
-    the order given.
     """
-    if ordered is None:
-        ordered = sorted(bricks)
+    ordered = sorted(bricks)
     if not any(map(_head_inside, ordered[1:], ordered)):
         return
-    pairs = list(BrickIndex(ordered).overlaps())
-    if pairs:
-        # ordered[j] is bricks[order[j]]
-        order = sorted(range(len(bricks)), key=bricks.__getitem__)
-        i, j = min(sorted((order[p], order[q])) for p, q in pairs)
-        raise DomainError("%s bricks overlap: %r, %r" % (side, bricks[i], bricks[j]))
+    index = BrickIndex(ordered)
+    for i, b in enumerate(bricks):
+        hits = index.meeting(b)
+        if len(hits) > 1:
+            # ordered[j] is bricks[order[j]]
+            order = sorted(range(len(bricks)), key=bricks.__getitem__)
+            partner = min(order[j] for j in hits if order[j] != i)
+            raise DomainError("%s bricks overlap: %r, %r" % (side, b, bricks[partner]))
 
 
 def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:
@@ -119,8 +109,8 @@ class PrefixBijection:
         Brick.validate(space, list(chain.from_iterable(cells)))
         sources = [d for d, _ in cells]
         targets = sorted(r for _, r in cells)
-        _check_disjoint("source", sources, sources)
-        _check_disjoint("target", targets, targets)
+        _check_disjoint("source", sources)
+        _check_disjoint("target", targets)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cells", tuple(cells))
 

@@ -32,8 +32,7 @@ are adjacent.  The kernels rest on this:
   which sorts where they were;
 - ``element._check_disjoint`` accepts at once, in any dimension count, a
   list whose roots and dimension-0 words form a prefix code, which its
-  sorted neighbours show; otherwise each brick walks only up the links of
-  its own dimension-0 word (:meth:`BrickIndex.overlaps`).
+  sorted neighbours show.
 
 For n >= 2 dimension-major order does not keep siblings adjacent (with the
 sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
@@ -507,38 +506,9 @@ class BrickIndex:
         level = self._roots.get(b.root)
         if level is None:
             return []
-        return self._below([level], b, 0)
-
-    def overlaps(self) -> Iterator[tuple[int, int]]:
-        """Pairs of positions of indexed bricks that meet, every such pair at
-        least once.
-
-        Of two bricks that meet, one dimension-0 word holds the other, so the
-        brick with the longer one sees the pair from its own word: each brick
-        walks up the links of its dimension-0 word (itself and the words that
-        hold it) and meets what lies below them in the higher dimensions.  No
-        brick looks down at its extensions.
-        """
-        for p, b in enumerate(self._bricks):
-            level = self._roots[b.root]
-            if level.__class__ is int:
-                continue
-            words, up, below = level
-            i = bisect_right(words, b.words[0]) - 1
-            held = []
-            while i >= 0:
-                held.append(below[i])
-                i = up[i]
-            for q in self._below(held, b, 1):
-                if q != p:
-                    yield p, q
-
-    def _below(self, levels: list, b: Brick, dim: int) -> list[int]:
-        """Positions of the bricks under ``levels`` (levels of dimension
-        ``dim`` and leaves) that meet ``b`` in the dimensions from ``dim`` on,
-        in the order of ``levels``."""
         bricks = self._bricks
-        for w in b.words[dim:]:
+        levels = [level]
+        for dim, w in enumerate(b.words):
             found = []
             for level in levels:
                 if level.__class__ is int:
@@ -560,7 +530,6 @@ class BrickIndex:
                     found += held
                 found += below[lo:bisect_left(words, w + _PAST, lo)]
             levels = found
-            dim += 1
         return levels
 
 

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 import random
 import re
 from collections import Counter
@@ -283,9 +282,9 @@ def double_completions(draw):
     return space, cells
 
 
-# three times the examples, so that the spaces of two and three dimensions
-# get as many raw composites as before, besides the double completions
-@settings(SETTINGS, max_examples=3 * SETTINGS.max_examples)
+# four times the examples, half of them double completions, so that the
+# spaces of two and three dimensions get as many raw composites as before
+@settings(SETTINGS, max_examples=4 * SETTINGS.max_examples)
 @given(st.one_of(raw_composites(), double_completions()))
 # merging 10,0 and 11,0, then 1,10 and 1,11, leaves 1,1 in two complete
 # families, with 0,1 along dimension 0 and with 1,0 along dimension 1; the
@@ -480,7 +479,9 @@ def index_cases(draw, space):
     return indexed, queries
 
 
-@SETTINGS
+# half as many examples again, one third of them leaves, so that the nested
+# and chain shapes get as many as before
+@settings(SETTINGS, max_examples=3 * SETTINGS.max_examples // 2)
 @given(st.sampled_from(INDEX_SPACES).flatmap(index_cases))
 def test_brick_index_meeting_matches_brute_force(case):
     # b.intersect(q) is checked against points in
@@ -490,10 +491,6 @@ def test_brick_index_meeting_matches_brute_force(case):
     index = BrickIndex(indexed)
     for q in queries + indexed:
         assert index.meeting(q) == [i for i, b in enumerate(indexed) if b.intersect(q) is not None]
-    # every pair of indexed bricks that meet, seen from at least one side
-    assert {frozenset(pair) for pair in index.overlaps()} == {
-        frozenset((i, j)) for i, j in itertools.combinations(range(len(indexed)), 2)
-        if indexed[i].intersect(indexed[j]) is not None}
 
 
 @SETTINGS
