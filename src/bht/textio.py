@@ -18,9 +18,20 @@ An object is a header line and then one brick or cell per line:
 a brick out of range is reported on its own line, overlapping bricks and a
 table that leaves part of the space uncovered on the header line.  A witness
 wraps named objects in ``begin <name>`` ... ``end`` lines after its
-``witness <kind>`` header and one ``<key> <value>`` line per parameter.
-Emission always happens in canonical order, making output files byte-stable
-for equal inputs.
+``witness <kind>`` header and one ``<key> <value>`` line per parameter;
+outside a block, ``end``, a ``begin`` with no name and a second ``witness``
+line are errors.  Emission always happens in canonical order, making output
+files byte-stable for equal inputs.
+
+Each call does its per-side work once per distinct side.  A :func:`parse`
+or :func:`parse_witness` call keeps one memo, local to that call, from each
+header text to its space, each word text to its word and, per space and
+side syntax (a ``vpair`` side is a bare word), each side text to its brick:
+a repeated side is the same :class:`Brick`, but every block still goes
+through its checking constructor, and every error names the line where it
+first occurs.  :func:`format_witness` writes each distinct brick once, with
+one dict from brick to side text for all the blocks of that call.  Nothing
+is cached at module level or on a value.
 """
 
 from dataclasses import dataclass, field
@@ -92,33 +103,6 @@ def _split_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_side(s: str, space: SpaceSpec, line: int) -> Brick:
-    if not s.startswith("root:"):
-        raise ParseError("expected 'root:<int> <words>', got %r" % s, line)
-    try:
-        root_text, words_text = s.split(None, 1)
-    except ValueError:
-        raise ParseError("missing words after %r" % s, line) from None
-    try:
-        root = int(root_text[5:])
-    except ValueError:
-        raise ParseError("bad root in %r" % s, line) from None
-    words = tuple(parse_word(w, line) for w in words_text.split(","))
-    if len(words) != space.n:
-        raise ParseError("expected %d words, got %d" % (space.n, len(words)), line)
-    return Brick(root, words)
-
-
-def _format_side(b: Brick) -> str:
-    return "root:%d %s" % (b.root, ",".join(format_word(w) for w in b.words))
-
-
-def format_clopen(c: Clopen) -> str:
-    lines = [format_space(c.space)]
-    lines += [_format_side(b) for b in c.bricks]
-    return "\n".join(lines) + "\n"
-
-
 def parse(text: str, expect: type | None = None):
     """The clopen, table, bisection or V table written in ``text``.
 
@@ -130,10 +114,17 @@ def parse(text: str, expect: type | None = None):
     lines = _split_lines(text)
     if not lines:
         raise ParseError("empty input", 1)
-    return _parse_object(lines, expect)
+    return _parse_object(lines, {}, {}, {}, expect)
 
 
-def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
+def _parse_object(lines: list[tuple[int, str]], spaces: dict, sides: dict, words: dict,
+                  expect: type | None = None):
+    """The object of one header line and its body lines.
+
+    ``spaces``, ``sides`` and ``words`` are the memos of the calling parse:
+    header text to space, side syntax (the space, or None for a vpair) to a
+    dict from side text to brick, and word text to word.
+    """
     lineno, header = lines[0]
     word, *rest = header.split()
     kind = _HEADERS.get(word)
@@ -142,23 +133,49 @@ def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
             "'%s'" % w for w, k in _HEADERS.items() if issubclass(k, expect)), lineno)
     if kind is None:
         raise ParseError("unknown block type %r" % word, lineno)
-    if word == "vpair":
+    vpair = word == "vpair"
+    if vpair:
         if rest:
             raise ParseError("bad vpair header", lineno)
         space = binary_space()
-        side = lambda s, no: Brick(0, (parse_word(s, no),))
     else:
-        space = _parse_space_fields(rest, lineno)
-        side = lambda s, no: _parse_side(s, space, no)
+        space = spaces.get(header)
+        if space is None:
+            space = spaces[header] = _parse_space_fields(rest, lineno)
+    bricks = sides.setdefault(None if vpair else space, {})
     items = []
     for no, body in lines[1:]:
         if kind is Clopen:
-            items.append(side(body, no))
+            texts = (body,)
         else:
             dom, arrow, ran = body.partition("->")
             if not arrow:
                 raise ParseError("expected '<dom> -> <ran>'", no)
-            items.append((side(dom.strip(), no), side(ran.strip(), no)))
+            texts = (dom.strip(), ran.strip())
+        for s in texts:
+            if s in bricks:
+                continue
+            # a vpair side is a bare word; any other is 'root:<int> <words>'
+            root, word_texts = 0, [s]
+            if not vpair:
+                if not s.startswith("root:"):
+                    raise ParseError("expected 'root:<int> <words>', got %r" % s, no)
+                try:
+                    root_text, words_text = s.split(None, 1)
+                except ValueError:
+                    raise ParseError("missing words after %r" % s, no) from None
+                try:
+                    root = int(root_text[5:])
+                except ValueError:
+                    raise ParseError("bad root in %r" % s, no) from None
+                word_texts = words_text.split(",")
+            for w in word_texts:
+                if w not in words:
+                    words[w] = parse_word(w, no)
+            if len(word_texts) != space.n:
+                raise ParseError("expected %d words, got %d" % (space.n, len(word_texts)), no)
+            bricks[s] = Brick(root, tuple(words[w] for w in word_texts))
+        items.append(bricks[body] if kind is Clopen else (bricks[texts[0]], bricks[texts[1]]))
     try:
         return kind(space, items)
     except DomainError as err:
@@ -172,19 +189,33 @@ def _parse_object(lines: list[tuple[int, str]], expect: type | None = None):
         raise ParseError(str(err), lineno) from None
 
 
-def _format_table_like(t: PrefixBijection, kind: str) -> str:
-    lines = [format_space(t.space).replace("space", kind, 1)]
-    for d, r in t.cells:
-        lines.append("%s -> %s" % (_format_side(d), _format_side(r)))
+def _format_object(obj, kind: str, sides: dict) -> str:
+    """The text of a clopen, or of a table or bisection under the header word
+    ``kind``; ``sides`` maps each brick already written to its text."""
+    def side(b: Brick) -> str:
+        text = sides.get(b)
+        if text is None:
+            text = sides[b] = "root:%d %s" % (b.root, ",".join(map(format_word, b.words)))
+        return text
+
+    lines = [format_space(obj.space).replace("space", kind, 1)]
+    if isinstance(obj, Clopen):
+        lines += map(side, obj.bricks)
+    else:
+        lines += ["%s -> %s" % (side(d), side(r)) for d, r in obj.cells]
     return "\n".join(lines) + "\n"
 
 
+def format_clopen(c: Clopen) -> str:
+    return _format_object(c, "space", {})
+
+
 def format_table(t: TableElement) -> str:
-    return _format_table_like(t, "table")
+    return _format_object(t, "table", {})
 
 
 def format_bisection(b: PrefixBijection) -> str:
-    return _format_table_like(b, "bisection")
+    return _format_object(b, "bisection", {})
 
 
 def format_point(p: RationalPoint) -> str:
@@ -233,13 +264,13 @@ class Witness:
     kind_line: int | None = None
 
 
-def _format_block(obj) -> str:
+def _format_block(obj, sides: dict) -> str:
     if isinstance(obj, Clopen):
-        return format_clopen(obj)
+        return _format_object(obj, "space", sides)
     if isinstance(obj, TableElement):
-        return format_table(obj)
+        return _format_object(obj, "table", sides)
     if isinstance(obj, PrefixBijection):
-        return format_bisection(obj)
+        return _format_object(obj, "bisection", sides)
     raise TypeError("cannot serialize %r" % type(obj))
 
 
@@ -248,8 +279,9 @@ def format_witness(w: Witness) -> str:
     for key in sorted(w.params):
         lines.append("%s %s" % (key, w.params[key]))
     out = "\n".join(lines) + "\n"
+    sides = {}
     for name, obj in w.blocks.items():
-        out += "begin %s\n%send\n" % (name, _format_block(obj))
+        out += "begin %s\n%send\n" % (name, _format_block(obj, sides))
     return out
 
 
@@ -258,11 +290,15 @@ def parse_witness(text: str) -> Witness:
     if not lines or not lines[0][1].startswith("witness "):
         raise ParseError("expected a 'witness <kind>' header", lines[0][0] if lines else 1)
     w = Witness(kind=lines[0][1].split(None, 1)[1].strip(), kind_line=lines[0][0])
+    spaces, sides, words = {}, {}, {}
     idx = 1
     while idx < len(lines):
         lineno, line = lines[idx]
-        if line.startswith("begin "):
-            name = line[6:].strip()
+        key, _, value = line.partition(" ")
+        if key == "begin":
+            name = value.strip()
+            if not name:
+                raise ParseError("missing block name", lineno)
             if name in w.blocks:
                 raise ParseError("repeated block %r" % name, lineno)
             end = next((j for j in range(idx + 1, len(lines)) if lines[j][1] == "end"), None)
@@ -270,11 +306,15 @@ def parse_witness(text: str) -> Witness:
                 raise ParseError("unterminated block %r" % name, lineno)
             if end == idx + 1:
                 raise ParseError("empty block", lineno)
-            w.blocks[name] = _parse_object(lines[idx + 1:end])
+            w.blocks[name] = _parse_object(lines[idx + 1:end], spaces, sides, words)
             w.block_lines[name] = lineno
             idx = end + 1
         else:
-            key, _, value = line.partition(" ")
+            # 'end' closes a block and 'witness' opens the file: neither is a parameter
+            if key == "end":
+                raise ParseError("'end' outside a block", lineno)
+            if key == "witness":
+                raise ParseError("repeated 'witness' header", lineno)
             if key in w.params:
                 raise ParseError("repeated parameter %r" % key, lineno)
             w.params[key] = value.strip()

@@ -1,12 +1,13 @@
 """The package surface: what ``src/bht`` defines is used by the package itself,
 no function calls itself but once per dimension, its values are frozen slotted
-dataclasses with no caches, importing the library loads no sampler, and the
-README example runs."""
+dataclasses with no caches, its memos live for one call, importing the library
+loads no sampler, and the README example runs."""
 
 import ast
 import dataclasses
 import importlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +25,8 @@ UNREFERENCED_BUT_KEPT = {
     "sampling.random_clopen": "perfbench draws its witness inputs with it",
     "sampling.random_point": "bht.sampling is the one sampler module, points included",
     "SpaceSpec.empty": "it pairs with SpaceSpec.full",
+    "textio.format_bisection": "the writer of the 'bisection' format that textio.parse reads; "
+                               "format_witness writes bisection blocks with its shared side memo",
 }
 # Clopen.intersect is one of the set operations, and perfbench calls it. It
 # needs no entry: the scan matches methods by name, and brick_subtract calls
@@ -134,6 +137,43 @@ def test_values_are_frozen_slotted_dataclasses_without_caches():
             if not (params.frozen and params.eq and "__slots__" in vars(obj)):
                 loose.add("%s.%s" % (path.stem, name))
     assert loose == {"textio.Witness"}
+
+
+def _cache_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_memos_stay_local_to_one_call():
+    # the one process-wide cache is the CLI's argument parser, and no other
+    # name refers to functools' caches; the reader's and the writer's memos
+    # live for one call, so a round trip leaves every module-level container
+    # of textio as it was
+    decorated, references = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        references += sum(_cache_name(node) in ("cache", "lru_cache") for node in ast.walk(tree)
+                          if isinstance(node, (ast.Name, ast.Attribute)))
+        decorated += ["%s.%s" % (path.stem, node.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      for d in node.decorator_list if _cache_name(d) in ("cache", "lru_cache")]
+    assert decorated == ["cli.build_parser"] and references == 1
+    from bht import textio
+    from bht.sampling import random_element
+
+    def sizes():
+        # the containers at module level, and those inside its tuples
+        values = [(name, value) for name, value in vars(textio).items() if not name.startswith("__")]
+        values += [("%s[%d]" % (name, i), item) for name, value in values
+                   if isinstance(value, tuple) for i, item in enumerate(value)]
+        return {name: len(value) for name, value in values if isinstance(value, (dict, set, list))}
+
+    before = sizes()
+    g = random_element(bht.SpaceSpec(2, (2, 3), 1), random.Random(7), factors=2, splits=3)
+    text = textio.format_witness(textio.Witness("test", blocks={"g": g, "h": g}))
+    assert textio.format_witness(textio.parse_witness(text)) == text
+    assert sizes() == before
 
 
 def test_the_library_and_cli_load_no_sampler():

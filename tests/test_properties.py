@@ -26,7 +26,7 @@ from bht.space import (  # noqa: E402
     h0_class, merge_families, point_in, subdivide,
 )
 from bht.textio import (  # noqa: E402
-    Witness, format_clopen, format_point, format_table, format_witness, parse_witness,
+    Witness, format_bisection, format_clopen, format_point, format_table, format_witness, parse_witness,
 )
 from bht.vembed import VEmbedding, binary_space, build_v_embedding, evaluate_embedding  # noqa: E402
 from bht.verify import _conjugated, run_checks  # noqa: E402
@@ -870,6 +870,23 @@ def test_raw_cell_conjugacy_matches_equals(space, seed):
         got = _conjugated(ci, hi, g)
         assert got == equals(compose(ci, hi), compose(hi, g))
         assert expected is None or got == expected
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES), SEEDS)
+def test_witness_text_is_its_blocks_written_one_by_one(space, seed):
+    # format_witness writes each distinct brick once for all the blocks of a
+    # file and parse_witness reads each distinct side once: the file must be
+    # the blocks written one at a time, and must read back to equal blocks
+    rng = random.Random(seed)
+    blocks = conjugate_blocks(conjugate_family(nontrivial_element(space, rng), 3))
+    cells = blocks["conjugator1"].cells
+    blocks["part"] = PrefixBijection(space, cells[:len(cells) // 2 + 1])
+    writers = {Clopen: format_clopen, TableElement: format_table, PrefixBijection: format_bisection}
+    text = format_witness(Witness("conjugates", params={"count": "3"}, blocks=blocks))
+    assert text == "witness conjugates\ncount 3\n" + "".join(
+        "begin %s\n%send\n" % (name, writers[type(obj)](obj)) for name, obj in blocks.items())
+    assert parse_witness(text).blocks == blocks
 
 
 def compressibility_blocks(condition, space, rng) -> tuple[dict, dict]:

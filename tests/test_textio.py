@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bht.element import PrefixBijection, TableElement, canonicalize
+from bht.element import PrefixBijection, TableElement, canonicalize, invert
 from bht.errors import ParseError
 from bht.sampling import random_clopen, random_element, random_point
 from bht.space import Brick, Clopen, SpaceSpec
@@ -177,6 +177,7 @@ def test_witness_parse_errors():
         parse_witness("# note\n\nwitnes compress\n")
     lines = format_witness(Witness("compress", blocks={
         "A": clp(V2, "0"), "B": V2.full(), "output": compress(clp(V2, "0"), V2.full())})).splitlines()
+    assert lines[4:6] == ["end", "begin B"]
     assert lines[7:12] == ["root:0 e", "end", "begin output", "bisection n=1 k=2 r=1", "root:0 0 -> root:0 0"]
     # errors inside a block report the line of the file, not of the block
     for i, bad, line in ((7, "root:0 2", 8), (11, "root:0 ? -> root:0 0", 12), (11, "root:0 2 -> root:0 0", 12)):
@@ -206,3 +207,58 @@ def test_witness_parse_errors():
         parse_witness(forged)
     with pytest.raises(ParseError, match="^line 3: repeated parameter 'case'$"):
         parse_witness("witness vigor\ncase b\ncase c\n")
+    # outside a block, 'end', a 'begin' with no name and a second header are
+    # errors on their own line, not parameters, between blocks or at the end
+    for stray, message in (("end", "'end' outside a block"), ("begin", "missing block name"),
+                           ("witness compress", "repeated 'witness' header")):
+        for at in (1, 5, len(lines)):
+            text = "\n".join(lines[:at] + [stray] + lines[at:]) + "\n"
+            with pytest.raises(ParseError, match="^line %d: %s$" % (at + 1, message)):
+                parse_witness(text)
+
+
+def test_witness_reads_each_distinct_side_once():
+    # equal sides of the table and bisection blocks of one file are one brick
+    # object: the reader builds each distinct side once per call
+    rng = random.Random(61)
+    g = canonicalize(random_element(V23, rng, factors=2, splits=3))
+    x, y = (random_clopen(V23, rng, splits=3, nonempty=True, proper=True) for _ in range(2))
+    blocks = {"element": g, "inverse": invert(g), "output": compress(x, y), "again": g}
+    back = parse_witness(format_witness(Witness("test", blocks=blocks))).blocks
+    assert back == blocks
+    seen, repeats = {}, 0
+    for obj in back.values():
+        for b in (b for cell in obj.cells for b in cell):
+            repeats += b in seen
+            assert seen.setdefault(b, b) is b
+    assert repeats >= len(g.cells) * 2
+    # a second call builds its own bricks
+    other = parse_witness(format_witness(Witness("test", blocks={"element": g}))).blocks
+    assert other["element"] == g
+    assert other["element"].cells[0][0] is not back["element"].cells[0][0]
+
+
+def test_witness_side_memo_keeps_every_error():
+    # a side is read again under each space and side syntax: two words are
+    # too many in one dimension, and a 'root:' side is no vpair word
+    text = ("witness test\nbegin A\nspace n=2 k=2,2 r=1\nroot:0 e,e\nend\n"
+            "begin B\nspace n=1 k=2 r=1\nroot:0 e,e\nend\n")
+    with pytest.raises(ParseError, match="^line 8: expected 1 words, got 2$"):
+        parse_witness(text)
+    text = ("witness test\nbegin A\ntable n=1 k=2 r=1\nroot:0 0 -> root:0 0\nroot:0 1 -> root:0 1\nend\n"
+            "begin B\nvpair\nroot:0 0 -> 1\nroot:0 1 -> 0\nend\n")
+    with pytest.raises(ParseError, match="^line 9: bad word 'root:0 0'$"):
+        parse_witness(text)
+    # a word read in a k=3 block is still out of range in a k=2 block
+    text = ("witness test\nbegin A\nspace n=1 k=3 r=1\nroot:0 2\nend\n"
+            "begin B\nspace n=1 k=2 r=1\nroot:0 0\nroot:0 2\nend\n")
+    with pytest.raises(ParseError, match="^line 9: letter out of range in dimension 0$"):
+        parse_witness(text)
+    # a bad letter or word that repeats is named on its first line
+    for bad, message in (("2", "letter out of range in dimension 0"), ("?", "bad word '1\\?'")):
+        body = ["root:0 0 -> root:0 0", "root:0 1%s -> root:0 10" % bad, "root:0 10 -> root:0 1%s" % bad]
+        for text in ("bisection n=1 k=2 r=1\n" + "\n".join(body) + "\n",
+                     "witness test\nbegin A\nbisection n=1 k=2 r=1\n" + "\n".join(body) + "\nend\n"):
+            line = 3 if text.startswith("bisection") else 5
+            with pytest.raises(ParseError, match="^line %d: %s$" % (line, message)):
+                (parse if line == 3 else parse_witness)(text)
