@@ -41,7 +41,7 @@ from itertools import chain
 from operator import mul
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, OverlapError
 from .space import (
     Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families,
 )
@@ -70,7 +70,7 @@ def _check_disjoint(side: str, bricks: list[Brick]):
             # ordered[j] is bricks[order[j]]
             order = sorted(range(len(bricks)), key=bricks.__getitem__)
             partner = min(order[j] for j in hits if order[j] != i)
-            raise DomainError("%s bricks overlap: %r, %r" % (side, b, bricks[partner]))
+            raise OverlapError(side, b, bricks[partner])
 
 
 def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:

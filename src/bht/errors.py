@@ -21,6 +21,14 @@ class ClassMismatchError(DomainError):
         )
 
 
+class OverlapError(DomainError):
+    """Two source or two target bricks of a bisection meet."""
+
+    def __init__(self, side: str, first, second):
+        self.side, self.first, self.second = side, first, second
+        super().__init__("%s bricks overlap: %r, %r" % (side, first, second))
+
+
 class UnsatisfiableError(DomainError):
     """The requested witness cannot exist for the given inputs."""
 

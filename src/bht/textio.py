@@ -15,29 +15,27 @@ An object is a header line and then one brick or cell per line:
     vpair                      a V table over the binary space, '0 -> 1'
 
 :func:`parse` reads all four and builds each with its checking constructor;
-a brick out of range is reported on its own line, overlapping bricks and a
-table that leaves part of the space uncovered on the header line.  A witness
-wraps named objects in ``begin <name>`` ... ``end`` lines after its
-``witness <kind>`` header and one ``<key> <value>`` line per parameter;
-outside a block, ``end``, a ``begin`` with no name and a second ``witness``
-line are errors.  Emission always happens in canonical order, making output
-files byte-stable for equal inputs.
+a brick out of range is reported on its own line, overlapping bricks (as the
+file spells them) and a table that leaves part of the space uncovered on the
+header line.  A witness wraps named objects in ``begin <name>`` ... ``end``
+lines after its ``witness <kind>`` header and one ``<key> <value>`` line per
+parameter; outside a block, ``end``, a ``begin`` with no name and a second
+``witness`` line are errors, and a block that meets a ``begin`` or the end
+of the file before its ``end`` is unterminated.  Output is written in
+canonical order, so equal inputs give equal bytes.
 
-Each call does its per-side work once per distinct side.  A :func:`parse`
-or :func:`parse_witness` call keeps one memo, local to that call, from each
-header text to its space, each word text to its word and, per space and
-side syntax (a ``vpair`` side is a bare word), each side text to its brick:
-a repeated side is the same :class:`Brick`, but every block still goes
-through its checking constructor, and every error names the line where it
-first occurs.  :func:`format_witness` writes each distinct brick once, with
-one dict from brick to side text for all the blocks of that call.  Nothing
-is cached at module level or on a value.
+A :func:`parse` or :func:`parse_witness` call keeps one memo for that call:
+per side syntax (the space, or None for the bare words of a ``vpair``), side
+text to :class:`Brick`, so a repeated side is one brick; every block still
+runs its checking constructor, and every error names the line where it first
+occurs.  :func:`format_witness` writes each distinct brick once per call.
+Nothing is cached at module level or on a value.
 """
 
 from dataclasses import dataclass, field
 
 from .element import PrefixBijection, TableElement
-from .errors import DomainError, ParseError
+from .errors import DomainError, OverlapError, ParseError
 from .space import Brick, Clopen, RationalPoint, SpaceSpec, Word, binary_space
 
 _DIGITS = "0123456789abcd"
@@ -114,16 +112,14 @@ def parse(text: str, expect: type | None = None):
     lines = _split_lines(text)
     if not lines:
         raise ParseError("empty input", 1)
-    return _parse_object(lines, {}, {}, {}, expect)
+    return _parse_object(lines, {}, expect)
 
 
-def _parse_object(lines: list[tuple[int, str]], spaces: dict, sides: dict, words: dict,
-                  expect: type | None = None):
+def _parse_object(lines: list[tuple[int, str]], sides: dict, expect: type | None = None):
     """The object of one header line and its body lines.
 
-    ``spaces``, ``sides`` and ``words`` are the memos of the calling parse:
-    header text to space, side syntax (the space, or None for a vpair) to a
-    dict from side text to brick, and word text to word.
+    ``sides`` is the memo of the calling parse: side syntax (the space, or
+    None for a vpair) to a dict from side text to brick.
     """
     lineno, header = lines[0]
     word, *rest = header.split()
@@ -139,9 +135,7 @@ def _parse_object(lines: list[tuple[int, str]], spaces: dict, sides: dict, words
             raise ParseError("bad vpair header", lineno)
         space = binary_space()
     else:
-        space = spaces.get(header)
-        if space is None:
-            space = spaces[header] = _parse_space_fields(rest, lineno)
+        space = _parse_space_fields(rest, lineno)
     bricks = sides.setdefault(None if vpair else space, {})
     items = []
     for no, body in lines[1:]:
@@ -169,18 +163,20 @@ def _parse_object(lines: list[tuple[int, str]], spaces: dict, sides: dict, words
                 except ValueError:
                     raise ParseError("bad root in %r" % s, no) from None
                 word_texts = words_text.split(",")
-            for w in word_texts:
-                if w not in words:
-                    words[w] = parse_word(w, no)
-            if len(word_texts) != space.n:
-                raise ParseError("expected %d words, got %d" % (space.n, len(word_texts)), no)
-            bricks[s] = Brick(root, tuple(words[w] for w in word_texts))
+            words = tuple([parse_word(w, no) for w in word_texts])
+            if len(words) != space.n:
+                raise ParseError("expected %d words, got %d" % (space.n, len(words)), no)
+            bricks[s] = Brick(root, words)
         items.append(bricks[body] if kind is Clopen else (bricks[texts[0]], bricks[texts[1]]))
     try:
         return kind(space, items)
+    except OverlapError as err:
+        # name the two bricks as the file first spells them
+        spelled = {b: text for text, b in reversed(bricks.items())}
+        raise ParseError("%s bricks overlap: %r, %r" % (
+            err.side, spelled[err.first], spelled[err.second]), lineno) from None
     except DomainError as err:
-        # name the line of the first brick out of range; overlap and
-        # coverage errors belong to the header
+        # name the line of the first brick out of range; coverage is the header's
         for (no, _), item in zip(lines[1:], items):
             try:
                 Brick.validate(space, [item] if kind is Clopen else list(item))
@@ -248,7 +244,7 @@ def parse_point(text: str, space: SpaceSpec) -> RationalPoint:
         raise ParseError(str(err)) from None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A claim plus the data needed to re-check it: named, typed blocks.
 
@@ -264,24 +260,14 @@ class Witness:
     kind_line: int | None = None
 
 
-def _format_block(obj, sides: dict) -> str:
-    if isinstance(obj, Clopen):
-        return _format_object(obj, "space", sides)
-    if isinstance(obj, TableElement):
-        return _format_object(obj, "table", sides)
-    if isinstance(obj, PrefixBijection):
-        return _format_object(obj, "bisection", sides)
-    raise TypeError("cannot serialize %r" % type(obj))
-
-
 def format_witness(w: Witness) -> str:
-    lines = ["witness %s" % w.kind]
-    for key in sorted(w.params):
-        lines.append("%s %s" % (key, w.params[key]))
-    out = "\n".join(lines) + "\n"
+    out = "witness %s\n" % w.kind
+    out += "".join("%s %s\n" % (key, w.params[key]) for key in sorted(w.params))
+    # kind to header word, the first of each kind: a table is written 'table', not 'vpair'
+    words = {k: word for word, k in reversed(_HEADERS.items())}
     sides = {}
     for name, obj in w.blocks.items():
-        out += "begin %s\n%send\n" % (name, _format_block(obj, sides))
+        out += "begin %s\n%send\n" % (name, _format_object(obj, words[type(obj)], sides))
     return out
 
 
@@ -289,35 +275,38 @@ def parse_witness(text: str) -> Witness:
     lines = _split_lines(text)
     if not lines or not lines[0][1].startswith("witness "):
         raise ParseError("expected a 'witness <kind>' header", lines[0][0] if lines else 1)
-    w = Witness(kind=lines[0][1].split(None, 1)[1].strip(), kind_line=lines[0][0])
-    spaces, sides, words = {}, {}, {}
-    idx = 1
-    while idx < len(lines):
-        lineno, line = lines[idx]
+    kind_line, header = lines[0]
+    params, param_lines, blocks, block_lines, sides = {}, {}, {}, {}, {}
+    name, start = None, 0  # the open block and the index of its first body line
+    for i in range(1, len(lines)):
+        lineno, line = lines[i]
         key, _, value = line.partition(" ")
-        if key == "begin":
+        if name is not None:
+            if key == "begin":
+                raise ParseError("unterminated block %r" % name, block_lines[name])
+            if line == "end":
+                if i == start:
+                    raise ParseError("empty block", block_lines[name])
+                blocks[name] = _parse_object(lines[start:i], sides)
+                name = None
+        elif key == "begin":
             name = value.strip()
             if not name:
                 raise ParseError("missing block name", lineno)
-            if name in w.blocks:
+            if name in block_lines:
                 raise ParseError("repeated block %r" % name, lineno)
-            end = next((j for j in range(idx + 1, len(lines)) if lines[j][1] == "end"), None)
-            if end is None:
-                raise ParseError("unterminated block %r" % name, lineno)
-            if end == idx + 1:
-                raise ParseError("empty block", lineno)
-            w.blocks[name] = _parse_object(lines[idx + 1:end], spaces, sides, words)
-            w.block_lines[name] = lineno
-            idx = end + 1
+            block_lines[name] = lineno
+            start = i + 1
+        # 'end' closes a block and 'witness' opens the file: neither is a parameter
+        elif key == "end":
+            raise ParseError("'end' outside a block", lineno)
+        elif key == "witness":
+            raise ParseError("repeated 'witness' header", lineno)
+        elif key in params:
+            raise ParseError("repeated parameter %r" % key, lineno)
         else:
-            # 'end' closes a block and 'witness' opens the file: neither is a parameter
-            if key == "end":
-                raise ParseError("'end' outside a block", lineno)
-            if key == "witness":
-                raise ParseError("repeated 'witness' header", lineno)
-            if key in w.params:
-                raise ParseError("repeated parameter %r" % key, lineno)
-            w.params[key] = value.strip()
-            w.param_lines[key] = lineno
-            idx += 1
-    return w
+            params[key] = value.strip()
+            param_lines[key] = lineno
+    if name is not None:
+        raise ParseError("unterminated block %r" % name, block_lines[name])
+    return Witness(header.split(None, 1)[1].strip(), params, blocks, param_lines, block_lines, kind_line)

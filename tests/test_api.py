@@ -118,7 +118,6 @@ def test_no_function_calls_itself_but_once_per_dimension():
 
 
 def test_values_are_frozen_slotted_dataclasses_without_caches():
-    # the parser's witness container is the one mutable dataclass
     loose = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -136,7 +135,7 @@ def test_values_are_frozen_slotted_dataclasses_without_caches():
             params = obj.__dataclass_params__
             if not (params.frozen and params.eq and "__slots__" in vars(obj)):
                 loose.add("%s.%s" % (path.stem, name))
-    assert loose == {"textio.Witness"}
+    assert loose == set()
 
 
 def _cache_name(node):

@@ -59,7 +59,7 @@ def test_eq_and_compose(capsys, tmp_path, swap_file, id_file):
     assert code == 0
     assert parse(out, TableElement).cells == ((B(0, "e"), B(0, "e")),)
     code, out, _ = run(capsys, "invert", swap_file)
-    assert code == 0 and parse(out, TableElement) == parse(open(swap_file).read(), TableElement)
+    assert code == 0 and parse(out, TableElement) == parse(Path(swap_file).read_text(), TableElement)
 
 
 def test_order_support_apply(capsys, tmp_path):

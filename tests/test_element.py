@@ -22,7 +22,7 @@ from bht.element import (
     order,
 )
 from bht.cli import main
-from bht.errors import DomainError, SpaceMismatchError
+from bht.errors import DomainError, OverlapError, SpaceMismatchError
 from bht.sampling import random_clopen, random_element, random_permutation_element
 from bht.space import Brick, BrickIndex, Clopen, SpaceSpec, compose_cells
 from bht.textio import format_clopen
@@ -60,10 +60,13 @@ def three_cycle(space, b0, b1, b2) -> TableElement:
 def test_validation_rejects_bad_tables():
     with pytest.raises(DomainError):
         TableElement(V2, [(B(0, "0"), B(0, "e"))])
-    with pytest.raises(DomainError):
+    # an overlap error carries its side and bricks, and names the bricks
+    with pytest.raises(OverlapError) as err:
         TableElement(V2, [(B(0, "0"), B(0, "0")), (B(0, "0"), B(0, "1"))])
-    with pytest.raises(DomainError):
+    assert (err.value.side, err.value.first, err.value.second) == ("source", B(0, "0"), B(0, "0"))
+    with pytest.raises(OverlapError) as err:
         PrefixBijection(V2, [(B(0, "0"), B(0, "e")), (B(0, "1"), B(0, "0"))])
+    assert str(err.value) == "target bricks overlap: %r, %r" % (B(0, "e"), B(0, "0"))
 
 
 def test_compose_identity_laws():

@@ -19,7 +19,7 @@ from bht.textio import (
 )
 from bht.vembed import binary_space
 from bht.witness import bisection_between, compress
-from util import B, V2, V23, V3, clp, pt, vpair_text
+from util import B, V2, V23, V3, assert_frozen_value, clp, pt, vpair_text
 
 
 def test_clopen_round_trip_fixed():
@@ -126,8 +126,14 @@ def test_parse_errors_report_lines():
         parse("space n=1 k=2 r=1\nroot:0 0,1\n", Clopen)
     with pytest.raises(ParseError, match="line 2"):
         parse("table n=1 k=2 r=1\nroot:0 0 root:0 1\n", TableElement)
-    with pytest.raises(ParseError, match="^line 1: target bricks overlap"):
-        parse("vpair\n0 -> 0\n1 -> e\n")
+    # overlapping bricks are named as the file spells them, on the header line
+    for text, message in (("table n=1 k=2 r=1\nroot:0 111 -> root:0 0\nroot:0 111 -> root:0 1\n",
+                           "source bricks overlap: 'root:0 111', 'root:0 111'"),
+                          ("bisection n=2 k=2,2 r=1\nroot:0 0,e -> root:0 0,e\nroot:0 1,e -> root:00  0,1\n",
+                           "target bricks overlap: 'root:0 0,e', 'root:00  0,1'"),
+                          ("vpair\n0 -> 0\n1 -> e\n", "target bricks overlap: 'e', '0'")):
+        with pytest.raises(ParseError, match="^line 1: %s$" % message):
+            parse(text)
     with pytest.raises(ParseError):
         parse_point("0(1)", V2)
     with pytest.raises(ParseError):
@@ -168,6 +174,7 @@ def test_witness_round_trip():
     assert back.blocks["X"] == x
     assert back.blocks["element"] == g
     assert format_witness(back) == text
+    assert_frozen_value(back)
 
 
 def test_witness_parse_errors():
@@ -184,10 +191,17 @@ def test_witness_parse_errors():
         text = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
         with pytest.raises(ParseError, match="^line %d: " % line):
             parse_witness(text)
-    with pytest.raises(ParseError, match="^line 3: target bricks overlap"):
+    with pytest.raises(ParseError, match="^line 3: target bricks overlap: 'e', '0'$"):
         parse_witness("witness embed\nbegin velement\nvpair\n0 -> 0\n1 -> e\nend\n")
     with pytest.raises(ParseError, match="^line 2: unterminated block 'X'$"):
         parse_witness("witness vigor\nbegin X\nspace n=1 k=2 r=1\n")
+    # a block is unterminated when a 'begin' or the end of the file comes
+    # before its 'end': the error names the block's own 'begin' line
+    for text, line, name in (("\n".join(lines[:4] + lines[5:]), 2, "A"),
+                             ("\n".join(lines[:-1]), 10, "output"),
+                             ("\n".join(lines[:-1] + ["begin C", "end"]), 10, "output")):
+        with pytest.raises(ParseError, match="^line %d: unterminated block '%s'$" % (line, name)):
+            parse_witness(text + "\n")
     with pytest.raises(ParseError, match="^line 2: empty block$"):
         parse_witness("witness vigor\nbegin X\n# nothing\nend\n")
     with pytest.raises(ParseError, match="^line 4: unknown block type 'clopen'$"):
