@@ -2,7 +2,9 @@
 witness container used by the command line.
 
 All formats are line based, UTF-8, LF: only LF ends a line, and other line
-break characters such as form feed count as spaces.  Blank lines and lines
+break characters such as form feed are whitespace.  A run of whitespace
+separates the fields of every line: headers, sides, points, and the
+witness, parameter and begin lines of a witness.  Blank lines and lines
 starting with '#' may appear anywhere and are skipped; errors name the line
 of the file.
 Words are spelled with the digits 0-9a-d ('e' is the empty word), so an
@@ -150,19 +152,7 @@ def _parse_object(lines: list[tuple[int, str]], sides: dict, expect: type | None
             if s in bricks:
                 continue
             # a vpair side is a bare word; any other is 'root:<int> <words>'
-            root, word_texts = 0, [s]
-            if not vpair:
-                if not s.startswith("root:"):
-                    raise ParseError("expected 'root:<int> <words>', got %r" % s, no)
-                try:
-                    root_text, words_text = s.split(None, 1)
-                except ValueError:
-                    raise ParseError("missing words after %r" % s, no) from None
-                try:
-                    root = int(root_text[5:])
-                except ValueError:
-                    raise ParseError("bad root in %r" % s, no) from None
-                word_texts = words_text.split(",")
+            root, word_texts = (0, [s]) if vpair else _split_root(s, "<words>", no)
             words = tuple([parse_word(w, no) for w in word_texts])
             if len(words) != space.n:
                 raise ParseError("expected %d words, got %d" % (space.n, len(words)), no)
@@ -222,17 +212,22 @@ def format_point(p: RationalPoint) -> str:
     return "root:%d %s" % (p.root, coords)
 
 
+def _split_root(text: str, items: str, line: int | None = None) -> tuple[int, list[str]]:
+    """The root and the comma-separated items of a side or point,
+    'root:<int> <items>'; anything else is an error that names ``items``."""
+    fields = text.split(None, 1)
+    if len(fields) == 2 and fields[0].startswith("root:"):
+        try:
+            return int(fields[0][5:]), fields[1].split(",")
+        except ValueError:
+            pass
+    raise ParseError("expected 'root:<int> %s', got %r" % (items, text), line)
+
+
 def parse_point(text: str, space: SpaceSpec) -> RationalPoint:
-    text = text.strip()
-    if not text.startswith("root:"):
-        raise ParseError("expected 'root:<int> <pre(per),...>', got %r" % text)
-    try:
-        root_text, coord_text = text.split(None, 1)
-        root = int(root_text[5:])
-    except ValueError:
-        raise ParseError("bad point %r" % text) from None
+    root, pieces = _split_root(text.strip(), "<pre(per),...>")
     coords = []
-    for piece in coord_text.split(","):
+    for piece in pieces:
         piece = piece.strip()
         if not piece.endswith(")") or "(" not in piece:
             raise ParseError("bad coordinate %r" % piece)
@@ -272,25 +267,27 @@ def format_witness(w: Witness) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    lines = _split_lines(text)
-    if not lines or not lines[0][1].startswith("witness "):
-        raise ParseError("expected a 'witness <kind>' header", lines[0][0] if lines else 1)
-    kind_line, header = lines[0]
+    lines = _split_lines(text) or [(1, "")]
+    header = lines[0][1].split(None, 1)
+    if len(header) != 2 or header[0] != "witness":
+        raise ParseError("expected a 'witness <kind>' header", lines[0][0])
     params, param_lines, blocks, block_lines, sides = {}, {}, {}, {}, {}
     name, start = None, 0  # the open block and the index of its first body line
     for i in range(1, len(lines)):
         lineno, line = lines[i]
-        key, _, value = line.partition(" ")
         if name is not None:
-            if key == "begin":
-                raise ParseError("unterminated block %r" % name, block_lines[name])
+            # body lines reach _parse_object as written
             if line == "end":
                 if i == start:
                     raise ParseError("empty block", block_lines[name])
                 blocks[name] = _parse_object(lines[start:i], sides)
                 name = None
-        elif key == "begin":
-            name = value.strip()
+            elif line.split(None, 1)[0] == "begin":
+                raise ParseError("unterminated block %r" % name, block_lines[name])
+            continue
+        key, value = (line.split(None, 1) + [""])[:2]
+        if key == "begin":
+            name = value
             if not name:
                 raise ParseError("missing block name", lineno)
             if name in block_lines:
@@ -305,8 +302,8 @@ def parse_witness(text: str) -> Witness:
         elif key in params:
             raise ParseError("repeated parameter %r" % key, lineno)
         else:
-            params[key] = value.strip()
+            params[key] = value
             param_lines[key] = lineno
     if name is not None:
         raise ParseError("unterminated block %r" % name, block_lines[name])
-    return Witness(header.split(None, 1)[1].strip(), params, blocks, param_lines, block_lines, kind_line)
+    return Witness(header[1], params, blocks, param_lines, block_lines, lines[0][0])

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity
 from .errors import DomainError
-from .space import Clopen, Word, binary_space, compose_cells, h0_class, subdivide
-from .witness import _split_brick_list, bisection_between
+from .space import Clopen, Word, binary_space, compose_cells, h0_class
+from .witness import _split_brick_list, _split_nonempty, bisection_between
 
 
 def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -> list[tuple[bool, str]]:
@@ -78,12 +78,8 @@ def build_v_embedding(x: Clopen) -> VEmbedding:
     y = x
     avail = x.complement()
     for _ in range((space.g - h0_class(x)) % space.g):
-        if len(avail.bricks) == 1:
-            piece = subdivide(space, avail.bricks[0], 0)[0]
-        else:
-            piece = avail.bricks[0]
-        y = y.union(Clopen._wrap(space, [piece]))
-        avail = avail.difference(Clopen._wrap(space, [piece]))
+        piece, avail = _split_nonempty(avail)
+        y = y.union(piece)
     # each dimension-0 split adds k_0 - 1 bricks; make at least 2g of them
     short = max(2 * space.g, 2) - len(y.bricks)
     parts = _split_brick_list(space, y.bricks, [0] * -(-short // (space.kbar[0] - 1)))

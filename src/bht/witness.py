@@ -168,7 +168,7 @@ def vigor_case(x: Clopen, y1: Clopen, y2: Clopen) -> str:
     'b' one order-3 cycle, 'c' product of two cycles."""
     if y1.issubset(y2):
         return "a"
-    if not y2.difference(y1).is_empty():
+    if not y2.issubset(y1):
         return "b"
     return "c"
 
@@ -180,10 +180,10 @@ def _split_nonempty(z: Clopen) -> tuple[Clopen, Clopen]:
     return Clopen._wrap(z.space, children[:1]), Clopen._wrap(z.space, children[1:])
 
 
-def _vigor_cycle(y1: Clopen, y2: Clopen) -> TableElement:
-    # y2 \ y1 nonempty, y1 nonempty: split the difference, compress y1 into
-    # the first part, compress the image into the second, close the cycle.
-    z21, z22 = _split_nonempty(y2.difference(y1))
+def _vigor_cycle(y1: Clopen, free: Clopen) -> TableElement:
+    # free nonempty and disjoint from y1, y1 nonempty: split free, compress y1
+    # into the first part, compress the image into the second, close the cycle.
+    z21, z22 = _split_nonempty(free)
     b1 = compress(y1, z21)
     b2 = compress(b1.image, z22)
     return _assemble_cycle(b1, b2)
@@ -211,12 +211,13 @@ def vigor_witness(x: Clopen, y1: Clopen, y2: Clopen) -> TableElement:
     if case == "a":
         return identity(x.space)
     if case == "b":
-        return _vigor_cycle(y1, y2)
+        return _vigor_cycle(y1, y2.difference(y1))
     if y1 == x:
         raise UnsatisfiableError(
             "no element supported in x can move all of x strictly into itself"
         )
     w = Clopen._wrap(x.space, x.difference(y1).bricks[:1])
+    # g1 moves y1 into w, off y2 (which lies inside y1), so y2 is free for g2
     g1 = _vigor_cycle(y1, w)
     g2 = _vigor_cycle(image_clopen(g1, y1), y2)
     return compose(g2, g1)

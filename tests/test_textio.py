@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bht.cli import main
 from bht.element import PrefixBijection, TableElement, canonicalize, invert
 from bht.errors import ParseError
 from bht.sampling import random_clopen, random_element, random_point
@@ -276,3 +277,68 @@ def test_witness_side_memo_keeps_every_error():
             line = 3 if text.startswith("bisection") else 5
             with pytest.raises(ParseError, match="^line %d: %s$" % (line, message)):
                 (parse if line == 3 else parse_witness)(text)
+
+
+def _cli_witnesses(capsys, tmp_path) -> dict:
+    """The vigor, conjugates and compressibility witnesses that ``bht`` prints."""
+    def path(name, obj):
+        (tmp_path / name).write_text((format_table if isinstance(obj, TableElement) else format_clopen)(obj))
+        return str(tmp_path / name)
+
+    swap = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
+    runs = {"vigor": ["vigor", path("X", clp(V2, "0")), path("Y1", clp(V2, "00")), path("Y2", clp(V2, "01"))],
+            "conjugates": ["conjugates", path("g", swap), "--count", "3"],
+            "compressibility": ["compressibility", "--point", "root:0 e(0)", "--cond", "2",
+                                path("U1", clp(V2, "10")), path("U2", clp(V2, "11"))]}
+    out = {}
+    for kind, argv in runs.items():
+        assert main(argv) == 0
+        out[kind] = capsys.readouterr().out
+    return out
+
+
+def _verify(capsys, tmp_path, text):
+    (tmp_path / "w.txt").write_text(text)
+    code = main(["verify", str(tmp_path / "w.txt")])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_witness_lines_split_at_any_whitespace(capsys, tmp_path):
+    # the witness, parameter and begin lines split at a run of whitespace,
+    # like headers and sides: only the separator differs, so the file reads
+    # the same and verifies with the same lines
+    for kind, text in _cli_witnesses(capsys, tmp_path).items():
+        back = parse_witness(text)
+        expected = _verify(capsys, tmp_path, text)
+        assert expected[0] == 0 and "FAIL" not in expected[1]
+        for sep in ("\t", "\f", "  "):
+            lines, inside = [], False
+            for line in text.splitlines():
+                if not inside:
+                    line = line.replace(" ", sep, 1)
+                inside = (inside or line.startswith("begin")) and line != "end"
+                lines.append(line)
+            respaced = "\n".join(lines) + "\n"
+            assert respaced.count(sep) == 1 + len(back.params) + len(back.blocks)
+            w = parse_witness(respaced)
+            assert (w.kind, w.params, w.blocks) == (back.kind, back.params, back.blocks)
+            assert _verify(capsys, tmp_path, respaced) == expected, (kind, sep)
+
+
+def test_empty_sides_and_bad_points_name_their_line(capsys, tmp_path):
+    # the one 'root:' reader of sides and points refuses an empty side or a
+    # point without a root or coordinates, on the line that holds it
+    for bad in ("-> root:0 1", "root:0 0 ->"):
+        text = "table n=1 k=2 r=1\nroot:0 0 -> root:0 0\n%s\n" % bad
+        with pytest.raises(ParseError, match="^line 3: "):
+            parse(text)
+        with pytest.raises(ParseError, match="^line 6: "):
+            parse_witness("witness test\n# note\nbegin A\n" + text + "end\n")
+    text = _cli_witnesses(capsys, tmp_path)["compressibility"]
+    lineno = text.splitlines().index("point root:0 e(0)") + 1
+    for point in ("root:0", "root:x e(0)", "0(1)"):
+        with pytest.raises(ParseError):
+            parse_point(point, V2)
+        code, out, err = _verify(capsys, tmp_path, text.replace("point root:0 e(0)", "point " + point))
+        assert (code, out) == (2, "") and err.startswith("parse error: line %d: " % lineno), err
