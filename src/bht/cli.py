@@ -4,7 +4,8 @@ Every subcommand reads the text formats of :mod:`bht.textio`, runs one
 operation and prints canonical output (byte-stable for equal inputs).
 Witness-producing commands embed their inputs in the emitted file so that
 ``verify`` can re-check every postcondition later.  Exit codes: 0 success,
-1 domain error, 2 parse error.
+1 domain error, 2 parse error.  ``_COMMANDS`` is the one list of
+subcommands; ``build_parser`` makes a subparser for each of its entries.
 """
 
 import argparse
@@ -63,12 +64,10 @@ def _emit_witness(kind: str, blocks: dict, **params) -> int:
     return 0
 
 
-def _porcelain(args, pairs):
-    if args.porcelain:
-        for key, value in pairs:
-            print("%s=%s" % (key, value))
-        return True
-    return False
+def _report(args, text, *pairs) -> int:
+    """Print ``text``, or with ``--porcelain`` one ``key=value`` line per pair."""
+    print("\n".join("%s=%s" % pair for pair in pairs) if args.porcelain else text)
+    return 0
 
 
 def _cmd_compose(args):
@@ -83,19 +82,15 @@ def _cmd_invert(args):
 
 
 def _cmd_eq(args):
-    same = element.equals(_table(args.left), _table(args.right))
-    text = "true" if same else "false"
-    if not _porcelain(args, [("equal", text)]):
-        print(text)
-    return 0
+    same = "true" if element.equals(_table(args.left), _table(args.right)) else "false"
+    return _report(args, same, ("equal", same))
 
 
 def _cmd_order(args):
     got = element.order(_table(args.table), args.max)
-    porcelain_value = "exceeds-bound" if got is None else got
-    if not _porcelain(args, [("order", porcelain_value)]):
-        print("exceeds bound" if got is None else got)
-    return 0
+    if got is None:
+        return _report(args, "exceeds bound", ("order", "exceeds-bound"))
+    return _report(args, got, ("order", got))
 
 
 def _cmd_support(args):
@@ -186,37 +181,24 @@ def _cmd_embed_v(args):
 
 def _cmd_homology(args):
     group = abelian.homology(_parse_space_arg(args.space), args.degree)
-    if not _porcelain(args, [("degree", args.degree), ("group", group)]):
-        print(group)
-    return 0
+    return _report(args, group, ("degree", args.degree), ("group", group))
 
 
 def _cmd_abelianization(args):
     group = abelian.abelianization(_parse_space_arg(args.space))
-    if not _porcelain(args, [("group", group)]):
-        print(group)
-    return 0
+    return _report(args, group, ("group", group))
 
 
 def _cmd_characters(args):
     table = abelian.proper_characters(_parse_space_arg(args.space))
-    if args.porcelain:
-        print("count=%d" % table.total)
-        print("families=%s" % ";".join(
-            "%dx%d" % (f.count, f.order) for f in table.families
-        ))
-        print("dual=%s" % table.dual_group)
-    else:
-        print(table)
-    return 0
+    families = ";".join("%dx%d" % (f.count, f.order) for f in table.families)
+    return _report(args, table, ("count", table.total), ("families", families),
+                   ("dual", table.dual_group))
 
 
 def _cmd_perfect(args):
-    flag = abelian.is_perfect(_parse_space_arg(args.space))
-    text = "true" if flag else "false"
-    if not _porcelain(args, [("perfect", text)]):
-        print(text)
-    return 0
+    perfect = "true" if abelian.is_perfect(_parse_space_arg(args.space)) else "false"
+    return _report(args, perfect, ("perfect", perfect))
 
 
 def _cmd_verify(args):
@@ -225,6 +207,43 @@ def _cmd_verify(args):
     for ok, description in checks:
         print("%s %s" % ("ok" if ok else "FAIL", description))
     return 0 if all(ok for ok, _ in checks) else 1
+
+
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_SPACE = ("--space", _REQUIRED)
+
+# The one list of subcommands, in the order --help lists them: name, help,
+# handler and arguments.  An argument is a positional name, or a name with
+# its add_argument keywords.
+_COMMANDS = [
+    ("compose", "compose two tables (right acts first)", _cmd_compose, ["left", "right"]),
+    ("invert", "invert a table", _cmd_invert, ["table"]),
+    ("eq", "decide equality of two tables", _cmd_eq, ["left", "right"]),
+    ("order", "order of a table element up to a bound", _cmd_order,
+     ["table", ("--max", _REQUIRED_INT)]),
+    ("support", "closed support of a table element", _cmd_support, ["table"]),
+    ("apply", "apply a table to an ultimately periodic point", _cmd_apply,
+     ["table", ("--point", _REQUIRED)]),
+    ("compress", "bisection from A strictly into B", _cmd_compress, ["a", "b"]),
+    ("double", "two bisections from X into disjoint parts of X", _cmd_double, ["x"]),
+    ("between", "bisection from A exactly onto B", _cmd_between, ["a", "b"]),
+    ("multisection", "order-3 element cycling three clopens", _cmd_multisection,
+     ["x0", "x1", "x2"]),
+    ("vigor", "element supported in X taking Y1 into Y2", _cmd_vigor, ["x", "y1", "y2"]),
+    ("conjugates", "pairwise distinct conjugates of a table", _cmd_conjugates,
+     ["table", ("--count", _REQUIRED_INT)]),
+    ("compressibility", "witness for one compressibility condition", _cmd_compressibility,
+     [("inputs", {"nargs": "*"}), ("--point", _REQUIRED), ("--cond", _REQUIRED_INT)]),
+    ("embed-v", "embedding of V supported on a region containing X", _cmd_embed_v,
+     [("velement", {"nargs": "?"}), _SPACE, ("--support", _REQUIRED)]),
+    ("homology", "homology of the underlying groupoid", _cmd_homology,
+     [_SPACE, ("--degree", _REQUIRED_INT)]),
+    ("abelianization", "abelianization of the full group", _cmd_abelianization, [_SPACE]),
+    ("characters", "proper character families", _cmd_characters, [_SPACE]),
+    ("perfect", "whether the full group is perfect", _cmd_perfect, [_SPACE]),
+    ("verify", "re-check the postconditions of a witness file", _cmd_verify, ["witness"]),
+]
 
 
 @functools.cache
@@ -237,99 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--porcelain", action="store_true",
                         help="emit key=value output for scripting")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compose", help="compose two tables (right acts first)")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("invert", help="invert a table")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_invert)
-
-    p = sub.add_parser("eq", help="decide equality of two tables")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_eq)
-
-    p = sub.add_parser("order", help="order of a table element up to a bound")
-    p.add_argument("table")
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=_cmd_order)
-
-    p = sub.add_parser("support", help="closed support of a table element")
-    p.add_argument("table")
-    p.set_defaults(func=_cmd_support)
-
-    p = sub.add_parser("apply", help="apply a table to an ultimately periodic point")
-    p.add_argument("table")
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_apply)
-
-    p = sub.add_parser("compress", help="bisection from A strictly into B")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_compress)
-
-    p = sub.add_parser("double", help="two bisections from X into disjoint parts of X")
-    p.add_argument("x")
-    p.set_defaults(func=_cmd_double)
-
-    p = sub.add_parser("between", help="bisection from A exactly onto B")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_between)
-
-    p = sub.add_parser("multisection", help="order-3 element cycling three clopens")
-    p.add_argument("x0")
-    p.add_argument("x1")
-    p.add_argument("x2")
-    p.set_defaults(func=_cmd_multisection)
-
-    p = sub.add_parser("vigor", help="element supported in X taking Y1 into Y2")
-    p.add_argument("x")
-    p.add_argument("y1")
-    p.add_argument("y2")
-    p.set_defaults(func=_cmd_vigor)
-
-    p = sub.add_parser("conjugates", help="pairwise distinct conjugates of a table")
-    p.add_argument("table")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=_cmd_conjugates)
-
-    p = sub.add_parser("compressibility", help="witness for one compressibility condition")
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--point", required=True)
-    p.add_argument("--cond", type=int, required=True)
-    p.set_defaults(func=_cmd_compressibility)
-
-    p = sub.add_parser("embed-v", help="embedding of V supported on a region containing X")
-    p.add_argument("velement", nargs="?")
-    p.add_argument("--space", required=True)
-    p.add_argument("--support", required=True)
-    p.set_defaults(func=_cmd_embed_v)
-
-    p = sub.add_parser("homology", help="homology of the underlying groupoid")
-    p.add_argument("--space", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_homology)
-
-    p = sub.add_parser("abelianization", help="abelianization of the full group")
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=_cmd_abelianization)
-
-    p = sub.add_parser("characters", help="proper character families")
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=_cmd_characters)
-
-    p = sub.add_parser("perfect", help="whether the full group is perfect")
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=_cmd_perfect)
-
-    p = sub.add_parser("verify", help="re-check the postconditions of a witness file")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, help_text, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            argument, options = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(argument, **options)
+        p.set_defaults(func=func)
     return parser
 
 

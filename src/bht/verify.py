@@ -34,8 +34,9 @@ _KIND_NAMES = {Clopen: "clopen", PrefixBijection: "bisection", TableElement: "ta
 def _need(w: Witness, name: str, kind: type = Clopen, space: SpaceSpec | None = None):
     """Block ``name`` of ``w``, checked to be a ``kind`` over ``space``.
 
-    ``space`` defaults to the space of the witness's first block; a table is
-    also accepted where a bisection is needed.
+    ``space`` defaults to the space of the witness's reference block: the
+    first of its kind's reference names that it has, wherever the file puts
+    it.  A table is also accepted where a bisection is needed.
     """
     if name not in w.blocks:
         raise ParseError("witness %r is missing block %r" % (w.kind, name), w.kind_line)
@@ -44,7 +45,8 @@ def _need(w: Witness, name: str, kind: type = Clopen, space: SpaceSpec | None = 
     if not isinstance(block, kind):
         raise ParseError("witness %r block %r is not a %s" % (w.kind, name, _KIND_NAMES[kind]), line)
     if space is None:
-        space = next(iter(w.blocks.values())).space
+        # a missing reference is reported when its checker needs it
+        space = next((w.blocks[n] for n in _CHECKERS[w.kind][1] if n in w.blocks), block).space
     if block.space != space:
         raise ParseError("witness %r block %r is over %s, expected %s" % (
             w.kind, name, block.space, space), line)
@@ -237,20 +239,22 @@ def _check_embed(w: Witness) -> list[Check]:
     return checks
 
 
+# per kind: its checker and its reference names, each the first block that
+# the checker reads (U1 under compressibility conditions 2 and 3, element
+# under condition 1)
 _CHECKERS = {
-    "compress": _check_compress,
-    "double": _check_double,
-    "between": _check_between,
-    "multisection": _check_multisection,
-    "vigor": _check_vigor,
-    "conjugates": _check_conjugates,
-    "compressibility": _check_compressibility,
-    "embed": _check_embed,
+    "compress": (_check_compress, ("A",)),
+    "double": (_check_double, ("X",)),
+    "between": (_check_between, ("A",)),
+    "multisection": (_check_multisection, ("X0",)),
+    "vigor": (_check_vigor, ("X",)),
+    "conjugates": (_check_conjugates, ("element",)),
+    "compressibility": (_check_compressibility, ("U1", "element")),
+    "embed": (_check_embed, ("X",)),
 }
 
 
 def run_checks(w: Witness) -> list[Check]:
-    checker = _CHECKERS.get(w.kind)
-    if checker is None:
+    if w.kind not in _CHECKERS:
         raise ParseError("unknown witness kind %r" % w.kind, w.kind_line)
-    return checker(w)
+    return _CHECKERS[w.kind][0](w)

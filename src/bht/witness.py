@@ -166,11 +166,15 @@ def multisection(x0: Clopen, x1: Clopen, x2: Clopen) -> Multisection:
 def vigor_case(x: Clopen, y1: Clopen, y2: Clopen) -> str:
     """Which construction a vigor witness for (x, y1, y2) uses: 'a' identity,
     'b' one order-3 cycle, 'c' product of two cycles."""
+    return _vigor_split(y1, y2)[0]
+
+
+def _vigor_split(y1: Clopen, y2: Clopen) -> tuple[str, Clopen | None]:
+    # the vigor case and, past case a, y2 \ y1: the free region of case b
     if y1.issubset(y2):
-        return "a"
-    if not y2.issubset(y1):
-        return "b"
-    return "c"
+        return "a", None
+    free = y2.difference(y1)
+    return ("c" if free.is_empty() else "b"), free
 
 
 def _split_nonempty(z: Clopen) -> tuple[Clopen, Clopen]:
@@ -207,11 +211,11 @@ def vigor_witness(x: Clopen, y1: Clopen, y2: Clopen) -> TableElement:
         raise DomainError("y1 and y2 must lie inside the supporting clopen")
     if y2.is_empty():
         raise DomainError("the target clopen must be nonempty")
-    case = vigor_case(x, y1, y2)
+    case, free = _vigor_split(y1, y2)
     if case == "a":
         return identity(x.space)
     if case == "b":
-        return _vigor_cycle(y1, y2.difference(y1))
+        return _vigor_cycle(y1, free)
     if y1 == x:
         raise UnsatisfiableError(
             "no element supported in x can move all of x strictly into itself"

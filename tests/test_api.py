@@ -1,7 +1,8 @@
 """The package surface: what ``src/bht`` defines is used by the package itself,
 no function calls itself but once per dimension, its values are frozen slotted
 dataclasses with no caches, its memos live for one call, importing the library
-loads no sampler, and the README example runs."""
+loads no sampler, the README example runs and the README's CLI block names
+every subcommand."""
 
 import ast
 import dataclasses
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import bht
+from bht.cli import _COMMANDS
 
 PACKAGE = Path(bht.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -187,3 +189,8 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_cli_block_names_every_subcommand():
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    assert set(re.findall(r"^bht (\S+)", block, re.M)) == {name for name, *_ in _COMMANDS}

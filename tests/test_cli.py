@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bht
+from bht import cli
 from bht.cli import main
 from bht.element import TableElement
 from bht.space import Clopen, SpaceSpec
@@ -191,6 +192,20 @@ def test_v_elements_in_vpair_form_with_comments(capsys, tmp_path):
     assert (code, err) == (0, "") and parse(out, TableElement) == v
 
 
+def test_verify_reads_embed_blocks_in_any_order(capsys, tmp_path):
+    x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
+    vfile = write(tmp_path, "v.vpair", "vpair\n0 -> 1\n1 -> 0\n")
+    code, out, _ = run(capsys, "embed-v", "--space", "1,3,1", "--support", x, vfile)
+    assert code == 0
+    code, checks, err = run(capsys, "verify", write(tmp_path, "e.txt", out))
+    assert (code, err) == (0, "") and len(checks.splitlines()) == 7
+    blocks = parse_witness(out).blocks
+    # the velement block, over the binary space, first; then every block reversed
+    for names in (["velement"] + [n for n in blocks if n != "velement"], list(blocks)[::-1]):
+        reordered = format_witness(Witness("embed", blocks={n: blocks[n] for n in names}))
+        assert run(capsys, "verify", write(tmp_path, "r.txt", reordered)) == (0, checks, ""), names
+
+
 def test_verify_lists_embed_checks_when_halves_overlap(capsys, tmp_path):
     x = write(tmp_path, "x.clp", format_clopen(clp(V3, "0")))
     vfile = write(tmp_path, "v.vpair", "vpair\n0 -> 1\n1 -> 0\n")
@@ -213,7 +228,7 @@ def test_parser_reuse_carries_no_state(capsys):
     assert (code, out) == (0, "true\n")
 
 
-def test_table_commands(capsys):
+def test_table_commands(capsys, swap_file, id_file):
     code, out, _ = run(capsys, "homology", "--space", "2,3,5", "--degree", "1")
     assert code == 0 and out.strip() == "Z_2"
     code, out, _ = run(capsys, "abelianization", "--space", "2,7,1")
@@ -226,6 +241,61 @@ def test_table_commands(capsys):
     assert code == 0 and "group=Z_2" in out
     code, out, _ = run(capsys, "--porcelain", "characters", "--space", "2,4,1")
     assert (code, out) == (0, "count=1\nfamilies=1x3\ndual=Z_3\n")
+    code, out, _ = run(capsys, "--porcelain", "abelianization", "--space", "2,7,1")
+    assert (code, out) == (0, "group=Z_12\n")
+    for argv, plain, porcelain in (
+        (["eq", id_file, id_file], "true\n", "equal=true\n"),
+        (["eq", swap_file, id_file], "false\n", "equal=false\n"),
+        (["order", swap_file, "--max", "2"], "2\n", "order=2\n"),
+        (["order", swap_file, "--max", "1"], "exceeds bound\n", "order=exceeds-bound\n"),
+    ):
+        assert run(capsys, *argv) == (0, plain, ""), argv
+        assert run(capsys, "--porcelain", *argv) == (0, porcelain, ""), argv
+
+
+# Per subcommand: its handler, its required arguments (each a group of argv
+# tokens), its optional positional arguments, and the fields that the full
+# argv parses to.
+PARSER_CASES = [
+    ("compose", "_cmd_compose", [["L"], ["R"]], [], {"left": "L", "right": "R"}),
+    ("invert", "_cmd_invert", [["T"]], [], {"table": "T"}),
+    ("eq", "_cmd_eq", [["L"], ["R"]], [], {"left": "L", "right": "R"}),
+    ("order", "_cmd_order", [["T"], ["--max", "8"]], [], {"table": "T", "max": 8}),
+    ("support", "_cmd_support", [["T"]], [], {"table": "T"}),
+    ("apply", "_cmd_apply", [["T"], ["--point", "root:0 e(10)"]], [],
+     {"table": "T", "point": "root:0 e(10)"}),
+    ("compress", "_cmd_compress", [["A"], ["B"]], [], {"a": "A", "b": "B"}),
+    ("double", "_cmd_double", [["X"]], [], {"x": "X"}),
+    ("between", "_cmd_between", [["A"], ["B"]], [], {"a": "A", "b": "B"}),
+    ("multisection", "_cmd_multisection", [["X0"], ["X1"], ["X2"]], [],
+     {"x0": "X0", "x1": "X1", "x2": "X2"}),
+    ("vigor", "_cmd_vigor", [["X"], ["Y1"], ["Y2"]], [], {"x": "X", "y1": "Y1", "y2": "Y2"}),
+    ("conjugates", "_cmd_conjugates", [["G"], ["--count", "3"]], [], {"table": "G", "count": 3}),
+    ("compressibility", "_cmd_compressibility", [["--point", "root:0 e(0)"], ["--cond", "2"]],
+     ["U1", "U2"], {"inputs": ["U1", "U2"], "point": "root:0 e(0)", "cond": 2}),
+    ("embed-v", "_cmd_embed_v", [["--space", "1,3,1"], ["--support", "X"]], ["V"],
+     {"velement": "V", "space": "1,3,1", "support": "X"}),
+    ("homology", "_cmd_homology", [["--space", "2,3,5"], ["--degree", "1"]], [],
+     {"space": "2,3,5", "degree": 1}),
+    ("abelianization", "_cmd_abelianization", [["--space", "2,7,1"]], [], {"space": "2,7,1"}),
+    ("characters", "_cmd_characters", [["--space", "1,3,1"]], [], {"space": "1,3,1"}),
+    ("perfect", "_cmd_perfect", [["--space", "2,2,3,1"]], [], {"space": "2,2,3,1"}),
+    ("verify", "_cmd_verify", [["W"]], [], {"witness": "W"}),
+]
+
+
+@pytest.mark.parametrize("name, handler, required, optional, fields", PARSER_CASES,
+                         ids=[case[0] for case in PARSER_CASES])
+def test_parser_gives_each_subcommand_its_handler_and_fields(name, handler, required, optional, fields):
+    def argv(groups):
+        return [name] + [token for group in groups for token in group] + optional
+
+    args = cli.build_parser().parse_args(argv(required))
+    assert vars(args) == dict(fields, porcelain=False, command=name, func=getattr(cli, handler))
+    for i in range(len(required)):
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args(argv(required[:i] + required[i + 1:]))
+        assert exit_.value.code == 2, required[i]
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -411,6 +411,16 @@ def test_witnesses_run_no_validating_constructor(monkeypatch):
     assert calls == []
 
 
+def test_vigor_case_b_takes_its_free_region_once(monkeypatch):
+    # the case rule and the cycle's free region share one y2 \ y1
+    x, y1, y2 = clp(V2, "0"), clp(V2, "00"), clp(V2, "01")
+    calls = []
+    difference = Clopen.difference
+    monkeypatch.setattr(Clopen, "difference", lambda a, b: calls.append((a, b)) or difference(a, b))
+    vigor_witness(x, y1, y2)
+    assert len(calls) == 5 and calls.count((y2, y1)) == 1
+
+
 def test_each_set_claim_fails_alone_under_some_mutation():
     def to(*words):
         return PrefixBijection(V2, [(B(0, "0"), B(0, w)) for w in words])
