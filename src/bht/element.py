@@ -27,8 +27,8 @@ key lies in the one before it the keys form a prefix code and the bricks
 are disjoint, in any dimension count.  Otherwise every brick is looked up
 in a :class:`bht.space.BrickIndex` of the sorted list, so the error names
 the first brick of the list, in the order given, that meets another, and
-its first partner.  Coverage sums, over the bricks, products of powers
-read from one column of word lengths per dimension.
+its first partner.  Coverage weighs the roots, the sources and the targets
+on one exact scale (:func:`bht.space.measures`).
 ``compose``, ``invert`` and ``canonicalize`` keep the sorted output of
 :func:`bht.space.merge_families` as it is.  For one-dimensional spaces the
 canonical form is the classical reduced table and is unique per element; in
@@ -38,12 +38,11 @@ semantically (``equals``), never by comparing cell lists.
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, OverlapError
 from .space import (
-    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, merge_families,
+    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, measures, merge_families,
 )
 
 
@@ -71,26 +70,6 @@ def _check_disjoint(side: str, bricks: list[Brick]):
             order = sorted(range(len(bricks)), key=bricks.__getitem__)
             partner = min(order[j] for j in hits if order[j] != i)
             raise OverlapError(side, b, bricks[partner])
-
-
-def _covers(space: SpaceSpec, bricks: list[Brick]) -> bool:
-    """Whether pairwise disjoint bricks cover the space, in exact integers.
-
-    With D_j the deepest word length in dimension j, the space is r * prod_j
-    k_j^D_j bricks of that depth, and a brick with words w_j holds
-    prod_j k_j^(D_j - |w_j|) of them.  The word lengths are read one column
-    (dimension) at a time.
-    """
-    held = [1] * len(bricks)
-    whole = space.r
-    for k, column in zip(space.kbar, zip(*[b.words for b in bricks])):
-        lengths = list(map(len, column))
-        deepest = max(lengths)
-        # powers[i] = k^(deepest - i)
-        powers = [k ** (deepest - i) for i in range(deepest + 1)]
-        held = map(mul, held, map(powers.__getitem__, lengths))
-        whole *= powers[0]
-    return sum(held) == whole
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -145,10 +124,11 @@ class TableElement(PrefixBijection):
 
     def __init__(self, space: SpaceSpec, cells: Iterable[Cell]):
         PrefixBijection.__init__(self, space, cells)
-        if not _covers(space, [d for d, _ in self.cells]):
-            raise DomainError("source bricks do not cover the space")
-        if not _covers(space, [r for _, r in self.cells]):
-            raise DomainError("target bricks do not cover the space")
+        roots = [space.root_brick(i) for i in range(space.r)]
+        whole, *sides = measures(space, roots, [d for d, _ in self.cells], [r for _, r in self.cells])
+        for side, size in zip(("source", "target"), sides):
+            if size != whole:
+                raise DomainError("%s bricks do not cover the space" % side)
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,6 +57,14 @@ the order of one queue of complete families, each merge touching only the
 families of the cells it removes and adds.  Bricks are finally sorted by
 root, then dimension-major with prefixes first.
 
+Containment and equality of point sets need no canonical form.
+:func:`measures` weighs lists of disjoint bricks in integers, on one scale
+on which every nonempty brick weighs at least 1.  So a clopen lies inside
+another exactly when its meets with it weigh as much as it does
+(:meth:`Clopen.issubset`), and :func:`same_set` decides equality on any
+brick partitions: equal values are one set, and otherwise each must lie
+inside the other.
+
 Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
 the one pairwise meet.  Set difference peels a brick down to its meet with
 the brick taken away, splitting off the siblings of every letter the meet
@@ -83,7 +91,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice, repeat
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, SpaceMismatchError
 
@@ -570,6 +580,20 @@ def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[
             yield (Brick(gd.root, dw) if grew_d else gd), (Brick(fr.root, rw) if grew_r else fr)
 
 
+def measures(space: SpaceSpec, *lists: Sequence[Brick]) -> list[int]:
+    """Exact sizes of lists of disjoint bricks, on one scale: with D_j the
+    deepest word of dimension j over all the lists, a brick with words w_j
+    weighs prod_j k_j^(D_j - |w_j|), read one column (dimension) at a time."""
+    held = repeat(1, sum(map(len, lists)))
+    for k, column in zip(space.kbar, zip(*[b.words for bricks in lists for b in bricks])):
+        lengths = list(map(len, column))
+        deepest = max(lengths)
+        # powers[i] = k^(deepest - i)
+        powers = [k ** (deepest - i) for i in range(deepest + 1)]
+        held = map(mul, held, map(powers.__getitem__, lengths))
+    return [sum(islice(held, len(bricks))) for bricks in lists]
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Clopen:
     """Finite union of bricks over a fixed space, stored canonically.
@@ -577,7 +601,8 @@ class Clopen:
     The constructor accepts any iterable of bricks (overlaps allowed),
     checks them against the space and canonicalizes.  Instances are
     immutable; equality and hashing are syntactic on the canonical form,
-    hence semantic on point sets.
+    hence semantic on point sets.  :func:`same_set` decides the same without
+    relying on the form.
     """
 
     space: SpaceSpec
@@ -626,11 +651,20 @@ class Clopen:
         return self.space.full().difference(self)
 
     def issubset(self, other: "Clopen") -> bool:
-        return self.difference(other).is_empty()
+        """Whether the meets of self with other weigh as much as self (see :func:`measures`)."""
+        self.space.check_same(other.space)
+        meets = compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks])
+        inside, whole = measures(self.space, [d for d, _ in meets], self.bricks)
+        return inside == whole
 
     def isdisjoint(self, other: "Clopen") -> bool:
         self.space.check_same(other.space)
         return not any(compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks]))
+
+
+def same_set(a: Clopen, b: Clopen) -> bool:
+    """Whether a and b are one point set: equal values, or each a subset of the other."""
+    return a == b or (a.issubset(b) and b.issubset(a))
 
 
 def h0_class(x: Clopen) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity
 from .errors import DomainError
-from .space import Clopen, Word, binary_space, compose_cells, h0_class
+from .space import Clopen, Word, binary_space, compose_cells, h0_class, same_set
 from .witness import _split_brick_list, _split_nonempty, bisection_between
 
 
@@ -29,9 +29,9 @@ def embedding_checks(region: Clopen, s0: PrefixBijection, s1: PrefixBijection) -
     h0, h1 = s0.image, s1.image
     return [
         (h0_class(region) == 0, "region has class zero"),
-        (s0.source == region and s1.source == region, "halving maps start from the region"),
+        (same_set(s0.source, region) and same_set(s1.source, region), "halving maps start from the region"),
         (h0.isdisjoint(h1), "halves disjoint"),
-        (h0.union(h1) == region, "halves partition the region"),
+        (same_set(h0.union(h1), region), "halves partition the region"),
     ]
 
 

@@ -437,9 +437,16 @@ end
      "line 1: witness 'compressibility' is missing parameter 'point'"),
     ("conjugates", "count 2", "# no count",
      "line 1: witness 'conjugates' is missing parameter 'count'"),
+    # a block or parameter that no check reads is refused on its own line
+    ("compressibility", "begin element", "foo 3\nbegin junk\nspace n=1 k=5 r=1\nroot:0 4\nend\nbegin element",
+     "line 12: witness 'compressibility' does not read parameter 'foo'"),
+    ("compressibility", "begin element", "begin junk\nspace n=1 k=5 r=1\nroot:0 4\nend\nbegin element",
+     "line 12: witness 'compressibility' does not read block 'junk'"),
+    ("conjugates", "count 2", "count 1",
+     "line 46: witness 'conjugates' does not read block 'target2'"),
 ], ids=["point", "point-root", "condition", "alphabet", "dimension", "kind", "missing-block",
         "block-kind", "block-space", "condition-range", "missing-condition", "missing-point",
-        "missing-count"])
+        "missing-count", "unread-parameter", "unread-block", "unread-count"])
 def test_verify_parse_errors_report_lines(capsys, tmp_path, swap_file, kind, old, new, error):
     text = COMPRESSIBILITY
     if kind == "conjugates":
@@ -448,6 +455,19 @@ def test_verify_parse_errors_report_lines(capsys, tmp_path, swap_file, kind, old
     assert code == 0 and "FAIL" not in out
     code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", text.replace(old, new)))
     assert (code, out, err) == (2, "", "parse error: %s\n" % error)
+
+
+def test_verify_takes_the_space_of_the_first_block_it_reads(capsys, tmp_path):
+    # condition 1 reads no U1: a stray one over another space is the error,
+    # not the blocks the check reads
+    g = write(tmp_path, "g.tbl", format_table(vigor_witness(clp(V2, "0"), clp(V2, "00"), clp(V2, "01"))))
+    code, text, _ = run(capsys, "compressibility", "--point", "root:0 1(1)", "--cond", "1", g)
+    assert code == 0
+    stray = text + "begin U1\nspace n=1 k=3 r=1\nroot:0 2\nend\n"
+    code, out, err = run(capsys, "verify", write(tmp_path, "w.txt", stray))
+    line = len(text.splitlines()) + 1
+    assert (code, out, err) == (2, "", "parse error: line %d: witness 'compressibility' does not read "
+                                       "block 'U1'\n" % line)
 
 
 def test_verify_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):

@@ -5,6 +5,7 @@ import io
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from bht.abelian import AbelianGroup  # noqa: E402
 from bht.cli import main  # noqa: E402
 from bht.element import (  # noqa: E402
-    PrefixBijection, TableElement, _check_disjoint, _covers, apply_point, canonicalize, compose,
+    PrefixBijection, TableElement, _check_disjoint, apply_point, canonicalize, compose,
     compose_partial, equals, identity, image_clopen, invert, invert_partial, is_identity,
 )
 from bht.errors import DomainError, ParseError  # noqa: E402
@@ -22,8 +23,8 @@ from bht.sampling import (  # noqa: E402
     random_clopen, random_element, random_partition, random_permutation_element, random_point,
 )
 from bht.space import (  # noqa: E402
-    Brick, BrickIndex, Clopen, SpaceSpec, _section_words, brick_subtract, canonical_bricks, compose_cells,
-    h0_class, merge_families, point_in, subdivide,
+    Brick, BrickIndex, Clopen, RationalPoint, SpaceSpec, _section_words, brick_subtract, canonical_bricks,
+    compose_cells, h0_class, measures, merge_families, point_in, same_set, subdivide,
 )
 from bht.textio import (  # noqa: E402
     Witness, format_bisection, format_clopen, format_point, format_table, format_witness, parse_witness,
@@ -503,6 +504,42 @@ def test_isdisjoint_matches_intersect(sides):
         assert u.isdisjoint(v) == u.intersect(v).is_empty()
 
 
+def _point_of(space, b: Brick, rng) -> RationalPoint:
+    """A point of the brick b."""
+    return RationalPoint(space, b.root, [(w + (rng.randrange(k),), (rng.randrange(k),))
+                                         for w, k in zip(b.words, space.kbar)])
+
+
+def _split_form(x: Clopen, rng) -> Clopen:
+    """x with each brick cut into its children along a random dimension: the
+    same set, in a form that is not canonical."""
+    bricks = [c for b in x.bricks for c in subdivide(x.space, b, rng.randrange(x.space.n))]
+    out = object.__new__(Clopen)
+    object.__setattr__(out, "space", x.space)
+    object.__setattr__(out, "bricks", tuple(sorted(bricks)))
+    return out
+
+
+@SETTINGS
+@given(st.sampled_from(INDEX_SPACES), st.randoms(use_true_random=False))
+def test_issubset_and_same_set_match_difference_and_points(space, rng):
+    a, b = (random_clopen(space, rng, splits=rng.randint(0, 6)) for _ in range(2))
+    for x, y in ((a, b), (b, a), (a, a.union(b)), (a.intersect(b), b), (a, a), (a, a.complement())):
+        rest = x.difference(y)
+        assert x.issubset(y) == rest.is_empty()
+        # a point of each brick of x lies in y when x is a subset, and a point
+        # of each brick of x \ y lies in x and not in y
+        assert not x.issubset(y) or all(point_in(_point_of(space, c, rng), y) for c in x.bricks)
+        outside = [_point_of(space, c, rng) for c in rest.bricks]
+        assert all(point_in(p, x) and not point_in(p, y) for p in outside)
+        assert same_set(x, y) == (x == y)
+        # the measure needs no canonical form
+        split = _split_form(x, rng)
+        assert same_set(split, x) and same_set(x, split)
+        assert split.issubset(y) == x.issubset(y) and y.issubset(split) == y.issubset(x)
+        assert same_set(split, y) == (x == y)
+
+
 def _pairwise_overlap(bricks):
     for i, b in enumerate(bricks):
         for b2 in bricks[i + 1:]:
@@ -554,9 +591,14 @@ def test_check_disjoint_names_the_pairwise_overlap(bs):
 @SETTINGS
 @given(st.sampled_from(INDEX_SPACES + [V23]), st.randoms(use_true_random=False))
 def test_covers_matches_measure(space, rng):
+    # lists of unequal depths, weighed on one scale, each in proportion to its
+    # volume: the roots weigh space.r volumes
     parts = random_partition(space, rng, splits=rng.randint(0, 8))
     kept = [b for b in parts if rng.random() < 0.8]
-    assert _covers(space, kept) == (measure(space, kept) == space.r)
+    other = random_partition(space, rng, splits=rng.randint(0, 8))
+    roots = [space.root_brick(i) for i in range(space.r)]
+    whole, *sizes = measures(space, roots, kept, other, [])
+    assert [Fraction(m * space.r, whole) for m in sizes] == [measure(space, b) for b in (kept, other, [])]
     # one brick shrunk to its first child, on either side of a table
     shrunk = [parts[0].child(0, 0)] + parts[1:]
     for cells, side in ((zip(shrunk, parts), "source"), (zip(parts, shrunk), "target")):
@@ -807,7 +849,7 @@ def test_verify_cycle_kinds_agree_with_independent_checker(kind, space, seed, da
 
 
 CONJUGATE_MUTATIONS = ["other conjugate", "other conjugator", "repeat a conjugate", "grow a target",
-                       "other target"]
+                       "other target", "other image"]
 
 
 @SETTINGS
@@ -831,6 +873,8 @@ def test_verify_conjugates_agrees_with_independent_checker(space, seed, mutation
         blocks["target%d" % i] = blocks["target%d" % i].union(blocks["target%d" % j])
     elif mutation == "other target":
         blocks["target%d" % i] = random_clopen(space, rng, splits=2)
+    elif mutation == "other image":
+        blocks["image"] = random_clopen(space, rng, splits=2)
     w = parse_witness(format_witness(Witness("conjugates", params={"count": str(count)}, blocks=blocks)))
     claims = conjugate_claims(w.blocks, w.params)
     assert run_checks(w) == claims

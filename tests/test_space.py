@@ -85,6 +85,15 @@ def test_complement_and_subset():
     assert not x.issubset(clp(V3, "12"))
 
 
+def test_issubset_takes_no_difference(monkeypatch):
+    # the meets of x with y weigh as much as x exactly when x lies in y
+    monkeypatch.setattr(Clopen, "difference", lambda a, b: pytest.fail("issubset took a difference"))
+    x, y = clp(V23, "0,e", "1,2"), clp(V23, "0,e", "1,")
+    assert x.issubset(y) and not y.issubset(x) and y.issubset(y) and V23.empty().issubset(x)
+    assert not x.issubset(clp(V23, "0,0", "0,1", "1,2"))
+    assert clp(V23, "0,0", "0,1", "0,2").issubset(x)
+
+
 def test_space_mismatch_rejected():
     with pytest.raises(SpaceMismatchError):
         clp(V2, "0").union(clp(V3, "0"))

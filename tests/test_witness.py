@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import bht.element
+import bht.space
+import bht.witness
 from bht.element import (
     PrefixBijection,
     TableElement,
@@ -412,13 +415,14 @@ def test_witnesses_run_no_validating_constructor(monkeypatch):
 
 
 def test_vigor_case_b_takes_its_free_region_once(monkeypatch):
-    # the case rule and the cycle's free region share one y2 \ y1
+    # the case rule and the cycle's free region share one y2 \ y1; the other
+    # difference is the complement that closes the cycle
     x, y1, y2 = clp(V2, "0"), clp(V2, "00"), clp(V2, "01")
     calls = []
     difference = Clopen.difference
     monkeypatch.setattr(Clopen, "difference", lambda a, b: calls.append((a, b)) or difference(a, b))
     vigor_witness(x, y1, y2)
-    assert len(calls) == 5 and calls.count((y2, y1)) == 1
+    assert len(calls) == 2 and calls.count((y2, y1)) == 1
 
 
 def test_each_set_claim_fails_alone_under_some_mutation():
@@ -492,22 +496,50 @@ def test_each_cycle_claim_fails_under_some_mutation():
         assert [what for ok, what in claims if not ok] == broken, (kind, broken)
 
 
+def test_verify_needs_no_unique_canonical_form(monkeypatch):
+    # With every family merge skipped, each clopen and table still denotes
+    # the right set or map, but one set can have many forms.  Verify decides
+    # its set claims by meets and measure, so valid witnesses still pass.
+    a, b = clp(V23, "0,e"), clp(V23, "1,0", "10,1")
+    x0, x1, x2 = clp(V23, "0,0"), clp(V23, "0,1"), clp(V23, "1,e")
+    emb = build_v_embedding(a)
+    v = TableElement(binary_space(), [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
+    witnesses = [
+        Witness("between", blocks={"A": a, "B": b, "output": bisection_between(a, b)}),
+        Witness("embed", blocks={"X": a, "Y": emb.region, "s0": emb.s0, "s1": emb.s1,
+                                 "velement": v, "image": evaluate_embedding(emb, v)}),
+        Witness("multisection", blocks={"X0": x0, "X1": x1, "X2": x2,
+                                        "element": multisection(x0, x1, x2).element}),
+    ]
+    texts = [format_witness(w) for w in witnesses]
+    for module in (bht.space, bht.element, bht.witness):
+        monkeypatch.setattr(module, "merge_families", lambda sp, cells: sorted(cells))
+    monkeypatch.setattr(bht.space, "_family_stack", lambda k, cells: sorted(cells))
+    # the sources of the bisection are A cut finer, and stay so
+    assert bisection_between(a, b).source.bricks != a.bricks
+    for text in texts:
+        assert [what for ok, what in run_checks(parse_witness(text)) if not ok] == [], text
+
+
 def test_each_conjugates_claim_fails_alone_under_some_mutation():
     swap = TableElement(V2, [(B(0, "0"), B(0, "1")), (B(0, "1"), B(0, "0"))])
     fam = conjugate_family(swap, 2)
     c1, h1, t1, t2 = fam.conjugates[0], fam.conjugators[0], fam.targets[0], fam.targets[1]
     # h1 fixes the moved brick pointwise and is not the identity
     assert closed_support(h1).isdisjoint(fam.moved) and not is_identity(h1)
+    assert (fam.moved, fam.image) == (clp(V2, "00"), clp(V2, "10"))
     cases = [
         ({}, []),
         ({"conjugate1": compose(c1, h1)}, ["conjugate 1 equals h g h^-1"]),
         ({"target1": V2.empty()}, ["conjugate 1 maps the moved brick into its target"]),
-        ({"moved": V2.empty(), "conjugate2": c1, "conjugator2": h1}, ["conjugates pairwise distinct"]),
+        ({"moved": V2.empty(), "image": V2.empty(), "conjugate2": c1, "conjugator2": h1},
+         ["conjugates pairwise distinct"]),
         # equal conjugates whose targets overlap: disjoint images cannot tell
         # them apart, so they are compared
         ({"conjugate2": c1, "conjugator2": h1, "target2": t2.union(t1)},
          ["conjugates pairwise distinct", "targets pairwise disjoint"]),
         ({"target2": t2.union(t1)}, ["targets pairwise disjoint"]),
+        ({"image": clp(V2, "11")}, ["element maps the moved brick onto the image"]),
     ]
     for change, broken in cases:
         blocks = dict(conjugate_blocks(fam), **change)

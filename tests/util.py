@@ -513,14 +513,14 @@ def set_claims(kind: str, blocks: dict) -> list:
             (sets["output2.source"] == x, "second source equals X"),
             (not img1 & img2, "images disjoint"),
             (img1 | img2 <= x, "images inside X"),
-            (img1 | img2 != x, "images leave room in X"),
+            (not x <= img1 | img2, "images leave room in X"),
         ]
     a, b, src, img = sets["A"], sets["B"], sets["output.source"], sets["output.image"]
     if kind == "compress":
         return [
             (src == a, "source equals A"),
             (img <= b, "image inside B"),
-            (img != b, "image strictly smaller than B"),
+            (not b <= img, "image strictly smaller than B"),
         ]
     assert kind == "between", kind
     return [(src == a, "source equals A"), (img == b, "image equals B")]
@@ -632,6 +632,11 @@ def conjugate_claims(blocks: dict, params: dict) -> list:
     sets = [frozenset(t for t in points if _find(target, t) is not None) for target in targets]
     claims.append((all(not a & b for a, b in itertools.combinations(sets, 2)),
                    "targets pairwise disjoint"))
+    # g is a bijection, so g(moved) = image exactly when t in moved iff g t in image
+    source, image = blocks["moved"].bricks, blocks["image"].bricks
+    if not all(_refined(space, roots, lambda t: (_find(source, t) is None)
+                        == (_find(image, _apply(g.cells, t)) is None))):
+        claims.append((False, "element maps the moved brick onto the image"))
     return claims
 
 
