@@ -39,23 +39,23 @@ sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
 dimension 0 puts ``(0, 1)`` between its children), so :func:`merge_families`
 keeps a queue of complete families there.
 
-Canonical form, in every dimension count: :func:`canonical_bricks` cuts the
-bricks of each root into a dimension-major decision tree with
-:func:`_section_words` (split a dimension only where the set depends on it,
-lowest dimension first), which depends only on the point set.  The leaves
-of a dimension's tree whose section (the set over the higher dimensions) is
-S are the maximal cylinders inside the set where the section is S, so each
-such set goes through the one-dimensional sweep: sort the words, drop each
-one inside the last one kept, and run the family stack of
-:func:`merge_families`.  One stack pass over the sorted words finds the
-sections, and their forms come from one dimension up, so the only recursion
-is once per dimension.  For n = 1 the cut is the canonical form; for n >= 2
-families can remain across leaves of different sections, and
-:func:`merge_families` (which also normalises prefix-exchange tables in
-:mod:`bht.element`, a brick entering as the cell ``(b, b)``) merges them in
-the order of one queue of complete families, each merge touching only the
-families of the cells it removes and adds.  Bricks are finally sorted by
-root, then dimension-major with prefixes first.
+Unions and differences are one sweep, in every dimension count:
+:func:`brick_subtract` cuts the bricks of each root less the holes there
+into a dimension-major decision tree with :func:`_section_words` (split a
+dimension only where the set depends on it, lowest dimension first), which
+depends only on the point set.  The leaves of a dimension's tree whose
+section (the set over the higher dimensions) is S are the maximal cylinders
+inside the set where the section is S, so each such set goes through the
+one-dimensional sweep: sort the words, drop each one inside another, and
+run the family stack of :func:`merge_families`.  One stack pass over the
+sorted words of bricks and holes finds the sections, whose forms come from
+one dimension up, so the only recursion is once per dimension.  For n = 1
+the cut is the canonical form; for n >= 2 families can remain across leaves
+of different sections, and :func:`merge_families` (which also normalises
+prefix-exchange tables in :mod:`bht.element`, a brick entering as the cell
+``(b, b)``) merges them in the order of one queue of complete families,
+each merge touching only the families of the cells it removes and adds.
+Bricks are finally sorted by root, then dimension-major with prefixes first.
 
 Containment and equality of point sets need no canonical form.
 :func:`measures` weighs lists of disjoint bricks in integers, on one scale
@@ -63,23 +63,21 @@ on which every nonempty brick weighs at least 1.  So a clopen lies inside
 another exactly when its meets with it weigh as much as it does
 (:meth:`Clopen.issubset`), and :func:`same_set` decides equality on any
 brick partitions: equal values are one set, and otherwise each must lie
-inside the other.
+inside the other.  Whether a clopen is the full set is weighed the same way.
 
 Two bricks meet in one brick or not at all, and :meth:`Brick.intersect` is
-the one pairwise meet.  Set difference peels a brick down to its meet with
-the brick taken away, splitting off the siblings of every letter the meet
-has beyond it (:func:`brick_subtract`).  The meet of two brick lists goes
-through :class:`BrickIndex` in every dimension count.  :func:`compose_cells`
-builds the cell of each meet it finds in one pass over the dimensions, and
-a side that gains no letters keeps its brick as it is.
+the one pairwise meet.  The meet of two brick lists goes through
+:class:`BrickIndex` in every dimension count.  :func:`compose_cells` builds
+the cell of each meet it finds in one pass over the dimensions, and a side
+that gains no letters keeps its brick as it is.
 
 ``Clopen(...)`` checks its bricks against the space, the whole list at once
 (:meth:`Brick.validate`), and runs only on bricks from outside
 (``textio.parse``, ``sampling`` and library callers).  Every clopen derived
-from checked objects (set operations, the empty and full sets,
-sources, images and supports of bisections, and the pieces the witness and
-embedding constructors cut) is built by ``Clopen._wrap``, which canonicalizes
-without checking.
+from checked objects (set operations, the empty set, sources, images and
+supports of bisections, and the pieces the witness and embedding
+constructors cut) is built by ``Clopen._wrap``, which canonicalizes without
+checking.  The full set is its root bricks, already canonical.
 
 All values here are immutable after construction (frozen slotted dataclasses
 whose fields, set once, are their whole state: nothing is cached on them) and
@@ -137,7 +135,11 @@ class SpaceSpec:
         return Brick(root, ((),) * self.n)
 
     def full(self) -> "Clopen":
-        return Clopen._wrap(self, [self.root_brick(i) for i in range(self.r)])
+        # the roots in order are canonical: a complement's minuend takes no sweep
+        full = object.__new__(Clopen)
+        object.__setattr__(full, "space", self)
+        object.__setattr__(full, "bricks", tuple(map(self.root_brick, range(self.r))))
+        return full
 
     def empty(self) -> "Clopen":
         return Clopen._wrap(self, [])
@@ -226,54 +228,47 @@ def subdivide(space: SpaceSpec, brick: Brick, dim: int) -> list[Brick]:
     return [brick.child(dim, a) for a in range(space.kbar[dim])]
 
 
-def brick_subtract(space: SpaceSpec, b: Brick, c: Brick) -> list[Brick]:
-    """Bricks covering b minus c, pairwise disjoint.
+def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]],
+                   holes: Sequence[tuple[Word, ...]] = ()) -> list[tuple[Word, ...]]:
+    """Decision-tree form of the union of word boxes less the union of word
+    holes over dims >= dim, sorted.
 
-    b is peeled down to its meet with c, dimensions in order: each letter the
-    meet has beyond b splits off the k_j - 1 siblings of that letter.
-    """
-    meet = b.intersect(c)
-    if meet is None:
-        return [b]
-    out = []
-    for j, (w, m) in enumerate(zip(b.words, meet.words)):
-        for a in m[len(w):]:
-            out += [b.child(j, x) for x in range(space.kbar[j]) if x != a]
-            b = b.child(j, a)
-    return out
-
-
-def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) -> list[tuple[Word, ...]]:
-    """Decision-tree form of the union of word boxes over dims >= dim, sorted.
-
-    The boxes may overlap or repeat.  The dim-th coordinate tree is split
-    exactly where the section of the union (the set over the higher
+    Boxes and holes may overlap or repeat.  The dim-th coordinate tree is
+    split exactly where the section of the set (the set over the higher
     dimensions) fails to be constant, and each leaf carries the form of its
-    section, so the output depends only on the union.  The leaves whose
-    section is S are the maximal cylinders inside the set where the section
-    is S, so each such set is swept as in one dimension.
+    section, so the output depends only on the set.
 
     One stack pass over the sorted dim-th words records, for each word, the
-    rests of the boxes that cover it, and for each proper prefix of a word
-    (an inner node) the rests that cover that.  The children of the inner
-    nodes that are not inner themselves (or the empty word, when no node is
-    inner) are atoms: they partition the coordinate tree, and the section is
-    constant on each.  The form of each covering set is computed once, one
-    dimension up, the atoms are grouped by it, and each group is reduced:
-    sorted, each word inside the last one kept dropped, and the family stack
-    run.  In the last dimension every rest is empty, so the words themselves
-    are the one group.  A lone box is its own form.
+    rests of the boxes and holes that cover it, each tagged with its side,
+    and for each proper prefix of a word (an inner node) the rests that cover
+    that.  The children of the inner nodes that are not inner themselves (or
+    the empty word, when no node is inner) are atoms: they partition the
+    coordinate tree, and the section is constant on each: the boxes' rests
+    less the holes' rests, one dimension up.  Past the last dimension a point
+    is in the set when a box covers it and no hole does.  The form of each
+    covering set is computed once, and the family stack runs over the sorted
+    atoms of each form.  With no holes, the last dimension's words, sorted
+    and each inside the last one kept dropped, are the one group.
     """
-    if len(boxes) <= 1:
+    if len(boxes) <= 1 and not holes:
         return list(boxes)
-    # form of the section -> the words with that section, each as a 1-tuple
+    # form of the section -> the words with that section in order, each as a 1-tuple
     groups: dict[tuple, list[tuple[Word]]] = {}
-    if dim == space.n - 1:
-        groups[((),)] = boxes
+    if not holes and dim == space.n - 1:
+        # the words of the boxes may nest: keep the outermost
+        kept: list[tuple[Word]] = []
+        for w in sorted(boxes):
+            if not (kept and w[0][:len(kept[-1][0])] == kept[-1][0]):
+                kept.append(w)
+        groups[((),)] = kept
+    elif not boxes or dim == space.n:
+        # holes and no box, or a hole past the last dimension: it covers the point
+        return []
     else:
         rests: dict[Word, list] = {}
-        for b in boxes:
-            rests.setdefault(b[0], []).append(b[1:])
+        for hole, items in ((False, boxes), (True, holes)):
+            for b in items:
+                rests.setdefault(b[0], []).append((hole, b[1:]))
         covers: dict[Word, frozenset] = {}
         inner: dict[Word, frozenset] = {}
         stack: list[Word] = []
@@ -291,23 +286,23 @@ def _section_words(space: SpaceSpec, dim: int, boxes: list[tuple[Word, ...]]) ->
                 inner[w[:i]] = above
             stack.append(w)
         atoms = [] if inner else [((), covers[()])]
+        letters = [(a,) for a in range(space.kbar[dim])]
         atoms += [(c, covers.get(c, cover)) for u, cover in inner.items()
-                  for c in (u + (a,) for a in range(space.kbar[dim])) if c not in inner]
+                  for a in letters if (c := u + a) not in inner]
         forms: dict[frozenset, tuple] = {}
-        for c, cover in atoms:
+        for c, cover in sorted(atoms):
             form = forms.get(cover)
             if form is None:
-                form = forms[cover] = tuple(_section_words(space, dim + 1, list(cover)))
+                sides: tuple[list, list] = ([], [])
+                for hole, r in cover:
+                    sides[hole].append(r)
+                form = forms[cover] = tuple(_section_words(space, dim + 1, *sides))
             if form:
                 groups.setdefault(form, []).append((c,))
     out: list[tuple[Word, ...]] = []
     for form, words in groups.items():
         if len(words) > 1:
-            kept: list[tuple[Word]] = []
-            for w in sorted(words):
-                if not (kept and w[0][:len(kept[-1][0])] == kept[-1][0]):
-                    kept.append(w)
-            words = [d[1] for d, _ in _family_stack(space.kbar[dim], [((0, w),) * 2 for w in kept])]
+            words = [d[1] for d, _ in _family_stack(space.kbar[dim], [((0, w),) * 2 for w in words])]
         out += [w + rest for w in words for rest in form]
     if len(groups) > 1:
         out.sort()
@@ -422,23 +417,28 @@ def _family_stack(k: int, cells: Iterable[Cell]) -> list[Cell]:
     return stack
 
 
-def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
-    """Canonical representative of the union of ``bricks`` (overlaps allowed).
-
-    The bricks of each root are cut by :func:`_section_words`.  In one
-    dimension that is already the canonical form: its sweep leaves the
-    maximal bricks and merges their families.  In more dimensions
-    :func:`merge_families` merges the families the cut leaves across
-    different sections.
-    """
-    by_root: dict[int, list[tuple[Word, ...]]] = {}
-    for b in bricks:
-        by_root.setdefault(b.root, []).append(b.words)
-    cut = [Brick(root, words) for root in sorted(by_root) for words in _section_words(space, 0, by_root[root])]
+def brick_subtract(space: SpaceSpec, bricks: Iterable[Brick], holes: Iterable[Brick]) -> tuple[Brick, ...]:
+    """Canonical bricks of the union of ``bricks`` less the union of
+    ``holes``, overlaps allowed: each root cut by :func:`_section_words`,
+    which in one dimension is the canonical form, and in more the families
+    the cut leaves across sections merged by :func:`merge_families`."""
+    box_words: dict[int, list[tuple[Word, ...]]] = {}
+    hole_words: dict[int, list[tuple[Word, ...]]] = {}
+    for by_root, items in ((box_words, bricks), (hole_words, holes)):
+        for b in items:
+            by_root.setdefault(b.root, []).append(b.words)
+    cut = [Brick(root, words) for root in sorted(box_words)
+           for words in _section_words(space, 0, box_words[root], hole_words.get(root, ()))]
     if space.n == 1 or len(cut) < 2:
         # a lone brick is in no family
         return tuple(cut)
     return tuple(b for b, _ in merge_families(space, ((b, b) for b in cut)))
+
+
+def canonical_bricks(space: SpaceSpec, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
+    """Canonical bricks of the union of ``bricks``, for ``Clopen(...)``: its own
+    name with two arguments, as ``perfbench/tracer.py`` times it by that name."""
+    return brick_subtract(space, bricks, ())
 
 
 _PAST = (math.inf,)
@@ -615,11 +615,11 @@ class Clopen:
         object.__setattr__(self, "bricks", canonical_bricks(space, bricks))
 
     @classmethod
-    def _wrap(cls, space: SpaceSpec, bricks: Iterable[Brick]) -> "Clopen":
-        """Canonical clopen of bricks derived from validated objects, unchecked."""
+    def _wrap(cls, space: SpaceSpec, bricks: Iterable[Brick], holes: Iterable[Brick] = ()) -> "Clopen":
+        """Canonical clopen of ``bricks`` less ``holes``, derived from validated objects, unchecked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "bricks", canonical_bricks(space, bricks))
+        object.__setattr__(obj, "bricks", brick_subtract(space, bricks, holes))
         return obj
 
     def __repr__(self):
@@ -629,7 +629,7 @@ class Clopen:
         return not self.bricks
 
     def is_full(self) -> bool:
-        return self == self.space.full()
+        return self.space.full().issubset(self)
 
     def union(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
@@ -642,10 +642,7 @@ class Clopen:
 
     def difference(self, other: "Clopen") -> "Clopen":
         self.space.check_same(other.space)
-        pieces = list(self.bricks)
-        for c in other.bricks:
-            pieces = [q for p in pieces for q in brick_subtract(self.space, p, c)]
-        return Clopen._wrap(self.space, pieces)
+        return Clopen._wrap(self.space, self.bricks, other.bricks)
 
     def complement(self) -> "Clopen":
         return self.space.full().difference(self)

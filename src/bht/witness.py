@@ -30,7 +30,8 @@ from .element import (
 )
 from .errors import ClassMismatchError, DomainError, UnsatisfiableError
 from .space import (
-    Brick, Clopen, RationalPoint, SpaceSpec, compose_cells, h0_class, merge_families, point_in, subdivide,
+    Brick, Clopen, RationalPoint, SpaceSpec, compose_cells, h0_class, merge_families, point_in, same_set,
+    subdivide,
 )
 
 
@@ -216,7 +217,7 @@ def vigor_witness(x: Clopen, y1: Clopen, y2: Clopen) -> TableElement:
         return identity(x.space)
     if case == "b":
         return _vigor_cycle(y1, free)
-    if y1 == x:
+    if same_set(y1, x):
         raise UnsatisfiableError(
             "no element supported in x can move all of x strictly into itself"
         )

@@ -1,8 +1,8 @@
 """The package surface: what ``src/bht`` defines is used by the package itself,
 no function calls itself but once per dimension, its values are frozen slotted
 dataclasses with no caches, its memos live for one call, importing the library
-loads no sampler, the README example runs and the README's CLI block names
-every subcommand."""
+loads no sampler, the README example runs, the README's CLI block names
+every subcommand and the benchmark tracer finds every name it binds."""
 
 import ast
 import dataclasses
@@ -31,8 +31,8 @@ UNREFERENCED_BUT_KEPT = {
                                "format_witness writes bisection blocks with its shared side memo",
 }
 # Clopen.intersect is one of the set operations, and perfbench calls it. It
-# needs no entry: the scan matches methods by name, and brick_subtract calls
-# Brick.intersect.
+# needs no entry: the scan matches methods by name, and
+# witness.conjugate_family calls Brick.intersect.
 
 
 def _definitions_and_references():
@@ -110,6 +110,21 @@ def _self_calls(node, prefix):
         else:
             out |= _self_calls(child, prefix)
     return out
+
+
+def test_the_benchmark_tracer_finds_every_name_it_binds():
+    # perfbench/tracer.py binds library functions and methods by name
+    # (space.brick_subtract, space.canonical_bricks, Brick.intersect, ...);
+    # building its wrappers, without installing them, fails here on a name
+    # the library no longer has
+    sys.path.insert(0, str(README.parent / "perfbench"))
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(README.parent / "perfbench"))
+    funcs, methods = tracer.Tracer()._wrappers()
+    assert all(callable(f) and callable(w) for f, w in funcs.items())
+    assert all(callable(getattr(cls, attr)) and callable(w) for cls, attr, w in methods)
 
 
 def test_no_function_calls_itself_but_once_per_dimension():

@@ -335,13 +335,21 @@ def test_one_dimensional_sections_have_no_families(sb):
     assert merge_families(space, cells) == sorted(cells)
 
 
+def _words_meet(u, v):
+    return all(a[:len(b)] == b or b[:len(a)] == a for a, b in zip(u, v))
+
+
 @st.composite
 def section_boxes(draw):
     """Word boxes with repeats and nesting; or one box; or with the box that
     covers everything; or with the complete family of children of a box; or,
     in two or three dimensions, one box and a second whose dim-0 word extends
     the first's by 20 to 60 letters and whose other words are drawn afresh,
-    so that a long path of inner nodes runs below a covering box."""
+    so that a long path of inner nodes runs below a covering box.
+
+    Then holes: drawn like boxes; those of them and the siblings of the
+    boxes that meet no box; with a box and an ancestor of a box, which cover
+    a box; repeated; or none."""
     shape = draw(st.sampled_from(["nested", "one", "full", "family", "deep"]))
     space = draw(st.sampled_from([sp for sp in INDEX_SPACES if sp.n > 1 or shape != "deep"]))
     boxes = [b.words for b in draw(nested_bricks(space, 8))]
@@ -357,52 +365,77 @@ def section_boxes(draw):
         b = draw(st.sampled_from(boxes))
         tail = draw(st.lists(st.integers(0, space.kbar[0] - 1), min_size=20, max_size=60))
         boxes = [b, (b[0] + tuple(tail),) + draw(bricks(space)).words[1:]]
-    return space, boxes
+    cut = draw(st.sampled_from(["drawn", "off", "cover", "repeat", "none"]))
+    holes = [] if cut == "none" else [b.words for b in draw(nested_bricks(space, 6))]
+    if cut == "off":
+        # a box with the last letter of one word moved to its next sibling
+        holes += [b[:j] + (b[j][:-1] + ((b[j][-1] + 1) % space.kbar[j],),) + b[j + 1:]
+                  for b in boxes for j in range(space.n) if b[j]]
+        holes = [h for h in holes if not any(_words_meet(h, b) for b in boxes)]
+    elif cut == "cover":
+        b = draw(st.sampled_from(boxes))
+        j = draw(st.integers(0, space.n - 1))
+        holes += [b, b[:j] + (b[j][:draw(st.integers(0, len(b[j])))],) + b[j + 1:]]
+    elif cut == "repeat":
+        holes += holes
+    return space, boxes, draw(st.permutations(holes))
 
 
 @SETTINGS
 @given(section_boxes())
 def test_section_words_matches_levels(sb):
-    space, boxes = sb
-    assert _section_words(space, 0, boxes) == section_words_levels(space, 0, boxes)
+    # the boxes alone, the boxes minus the holes, and the holes alone
+    space, boxes, holes = sb
+    for cut in ((boxes, ()), (boxes, holes), ([], holes)):
+        assert _section_words(space, 0, *cut) == section_words_levels(space, 0, *cut)
 
 
 @st.composite
-def brick_pairs(draw):
-    """A space and two bricks; the second is drawn alone or cut from the first
-    by shortening and lengthening its words, so that most pairs meet."""
+def brick_lists(draw):
+    """A space, one to three bricks and up to three holes.  A hole is cut
+    from a brick by shortening and lengthening its words, so that it mostly
+    meets the brick; or drawn alone; or cut so and moved to the next root,
+    which in two-root spaces may hold no brick."""
     space = draw(st.sampled_from(INDEX_SPACES))
-    b = draw(bricks(space))
-    if draw(st.booleans()):
-        return space, b, draw(bricks(space))
-    words = tuple(w[:draw(st.integers(0, len(w)))] + tuple(draw(st.lists(st.integers(0, k - 1), max_size=2)))
-                  for w, k in zip(b.words, space.kbar))
-    return space, b, Brick(b.root, words)
+    boxes = draw(st.lists(bricks(space), min_size=1, max_size=3))
+    holes = []
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["cut", "alone", "other root"]))
+        if how == "alone":
+            holes.append(draw(bricks(space)))
+            continue
+        b = draw(st.sampled_from(boxes))
+        words = tuple(w[:draw(st.integers(0, len(w)))] + tuple(draw(st.lists(st.integers(0, k - 1), max_size=2)))
+                      for w, k in zip(b.words, space.kbar))
+        holes.append(Brick(b.root if how == "cut" else (b.root + 1) % space.r, words))
+    return space, boxes, holes
 
 
 @SETTINGS
-@given(brick_pairs(), st.randoms(use_true_random=False))
-def test_brick_meet_and_subtract_match_points(pair, rng):
-    # a word tuple one letter deeper than both bricks lies wholly inside or
-    # wholly outside each brick here, so it stands for the points that
-    # start with it
-    space, b, c = pair
-    meet, pieces = b.intersect(c), brick_subtract(space, b, c)
-    lengths = [max(len(v), len(w)) + 1 for v, w in zip(b.words, c.words)]
+@given(brick_lists(), st.randoms(use_true_random=False))
+def test_brick_meet_and_subtract_match_points(lists, rng):
+    # a word tuple one letter deeper than every brick and hole lies wholly
+    # inside or wholly outside each of them here, so it stands for the points
+    # that start with it
+    space, boxes, holes = lists
+    pieces = brick_subtract(space, boxes, holes)
+    lengths = [max(len(b.words[j]) for b in boxes + holes) + 1 for j in range(space.n)]
 
     def inside(t, x):
         return t[0] == x.root and all(u[:len(w)] == w for u, w in zip(t[1], x.words))
 
-    for i in range(40):
-        # half of the tuples start with b's words
-        start = b if i % 2 else Brick(rng.randrange(space.r), ((),) * space.n)
+    for i in range(60):
+        # two thirds of the tuples start with a brick's words
+        start = rng.choice(boxes) if i % 3 else Brick(rng.randrange(space.r), ((),) * space.n)
         t = (start.root, tuple(w + tuple(rng.randrange(k) for _ in range(m - len(w)))
                                for w, k, m in zip(start.words, space.kbar, lengths)))
-        assert (inside(t, b) and inside(t, c)) == (meet is not None and inside(t, meet))
-        assert not any(inside(t, p) and inside(t, c) for p in pieces)
-        # b is the disjoint union of the pieces and the meet
-        count = sum(inside(t, p) for p in pieces) + (meet is not None and inside(t, meet))
-        assert count == inside(t, b)
+        for b in boxes:
+            for c in holes:
+                meet = b.intersect(c)
+                assert (inside(t, b) and inside(t, c)) == (meet is not None and inside(t, meet))
+        # the pieces are disjoint and cover exactly the bricks minus the holes
+        kept = any(inside(t, b) for b in boxes) and not any(inside(t, c) for c in holes)
+        assert sum(inside(t, p) for p in pieces) == kept
 
 
 def near(draw, space, b):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import bht.space
 from bht.errors import DomainError, SpaceMismatchError
 from bht.sampling import random_clopen, random_partition, random_point
 from bht.space import (
+    Brick,
     Clopen,
     RationalPoint,
     SpaceSpec,
@@ -92,6 +94,22 @@ def test_issubset_takes_no_difference(monkeypatch):
     assert x.issubset(y) and not y.issubset(x) and y.issubset(y) and V23.empty().issubset(x)
     assert not x.issubset(clp(V23, "0,0", "0,1", "1,2"))
     assert clp(V23, "0,0", "0,1", "0,2").issubset(x)
+
+
+def test_difference_and_complement_take_one_sweep(monkeypatch):
+    # each is one brick_subtract call over the bricks and the holes, with no
+    # brick-by-brick peel: no pairwise meet
+    calls = []
+    sweep = bht.space.brick_subtract
+    monkeypatch.setattr(bht.space, "brick_subtract", lambda *args: calls.append(args) or sweep(*args))
+    monkeypatch.setattr(Brick, "intersect", lambda b, c: pytest.fail("took a pairwise meet"))
+    x, y, z = clp(V23, "0,e", "1,2", "e,0"), clp(V23, "0,1", "1,"), clp(V2, "0", "10")
+    for make, want in ((lambda: x.difference(y), clp(V23, "0,0", "0,2")),
+                       (lambda: y.complement(), clp(V23, "0,0", "0,2")),
+                       (lambda: z.complement(), clp(V2, "11"))):
+        calls.clear()
+        got = make()
+        assert len(calls) == 1 and got == want
 
 
 def test_space_mismatch_rejected():

@@ -38,7 +38,7 @@ from bht.witness import (
 )
 from util import (
     B, V2, V3, V23, V2x2, assert_frozen_value, clp, compressibility_claims, conjugate_blocks,
-    conjugate_claims, cycle_claims, pt, set_claims,
+    conjugate_claims, cycle_claims, measure, pt, set_claims,
 )
 
 V4 = SpaceSpec(1, (4,), 1)
@@ -519,6 +519,27 @@ def test_verify_needs_no_unique_canonical_form(monkeypatch):
     assert bisection_between(a, b).source.bricks != a.bricks
     for text in texts:
         assert [what for ok, what in run_checks(parse_witness(text)) if not ok] == [], text
+
+
+def test_proper_subset_checks_need_no_unique_canonical_form(monkeypatch):
+    # With every family merge skipped, the full set of V3 written as its
+    # three children is not the form of V3.full(), and a set cut finer is
+    # not the form of the set.  The checks that need a proper subset, and
+    # the vigor corner y1 = x, weigh the sets instead of comparing forms.
+    for module in (bht.space, bht.element, bht.witness):
+        monkeypatch.setattr(module, "merge_families", lambda sp, cells: sorted(cells))
+    monkeypatch.setattr(bht.space, "_family_stack", lambda k, cells: sorted(cells))
+    full, x = clp(V3, "0", "1", "2"), clp(V3, "0", "1")
+    assert full != V3.full() and full.is_full() and not x.is_full()
+    with pytest.raises(DomainError, match="proper subset"):
+        build_v_embedding(full)
+    with pytest.raises(DomainError, match="proper subset"):
+        vigor_witness(full, clp(V3, "0"), clp(V3, "1"))
+    # y1 is x cut finer, and y2 lies strictly inside it
+    with pytest.raises(UnsatisfiableError):
+        vigor_witness(x, clp(V3, "00", "01", "02", "1"), clp(V3, "1"))
+    rng = random.Random(0)
+    assert all(measure(V3, random_clopen(V3, rng, splits=2, proper=True).bricks) < 1 for _ in range(300))
 
 
 def test_each_conjugates_claim_fails_alone_under_some_mutation():

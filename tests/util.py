@@ -212,28 +212,32 @@ def merge_families_rounds(space, cells) -> list:
     return sorted(cells)
 
 
-def section_words_levels(space, dim, boxes) -> list:
+def section_words_levels(space, dim, boxes, holes=()) -> list:
     """Reference for ``bht.space._section_words``: one trie level per letter.
 
     Each node strips the first letter off every word below it, in one pass
-    per letter, and pushes the covering boxes into every child; the tree is
-    split where the union of the boxes is not constant on a subtree.
+    per letter, and pushes the covering boxes and holes, each tagged with its
+    side, into every child; the tree is split where the set (the union of the
+    boxes minus the union of the holes) is not constant on a subtree.  Past
+    the last dimension a point is in the set when a box covers it and no hole
+    does.
     """
     if not boxes:
         return []
     if dim == space.n:
-        return [()]
+        return [] if holes else [()]
     k = space.kbar[dim]
 
     def node(items):
-        at = [rest for w, rest in items if not w]
-        deeper = [(w, rest) for w, rest in items if w]
+        at = [(rest, hole) for w, rest, hole in items if not w]
+        deeper = [(w, rest, hole) for w, rest, hole in items if w]
         if not deeper:
-            return (True, section_words_levels(space, dim + 1, at))
+            return (True, section_words_levels(space, dim + 1, [rest for rest, hole in at if not hole],
+                                               [rest for rest, hole in at if hole]))
         kids = []
         for a in range(k):
-            child = [(w[1:], rest) for w, rest in deeper if w[0] == a]
-            child += [((), rest) for rest in at]
+            child = [(w[1:], rest, hole) for w, rest, hole in deeper if w[0] == a]
+            child += [((), rest, hole) for rest, hole in at]
             kids.append(node(child))
         first = kids[0]
         if all(kid[0] and kid[1] == first[1] for kid in kids):
@@ -251,7 +255,8 @@ def section_words_levels(space, dim, boxes) -> list:
             for a, kid in enumerate(payload):
                 flatten(u + (a,), kid)
 
-    flatten((), node([(words[0], words[1:]) for words in boxes]))
+    flatten((), node([(words[0], words[1:], hole) for hole, items in ((False, boxes), (True, holes))
+                      for words in items]))
     return out
 
 
