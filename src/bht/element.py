@@ -19,16 +19,12 @@ from outside (``textio.parse``, ``sampling``, library callers); whatever the
 package derives from checked objects is correct by construction and built by
 ``_wrap``, unchecked.  Each check reads the whole list.  The roots and
 letters of every brick go through one :meth:`bht.space.Brick.validate`
-call, which looks for the first bad brick only when the batch fails.  The
-disjointness check first tests the sorted neighbours' roots and dimension-0
-words: two such keys nest only when one word is a prefix of the other, and
-every key sorted between them extends the shorter, so when no neighbour's
-key lies in the one before it the keys form a prefix code and the bricks
-are disjoint, in any dimension count.  Otherwise every brick is looked up
-in a :class:`bht.space.BrickIndex` of the sorted list, so the error names
-the first brick of the list, in the order given, that meets another, and
-its first partner.  Coverage weighs the roots, the sources and the targets
-on one exact scale (:func:`bht.space.measures`).
+call, which looks for the first bad brick only when the batch fails.  Each
+side is checked for disjointness by :func:`bht.space.overlap`, the one
+overlap test of the package, so the error names the first brick of the
+side, in the order given, that meets another, and its first partner.
+Coverage weighs the roots, the sources and the targets on one exact scale
+(:func:`bht.space.measures`).
 ``compose``, ``invert`` and ``canonicalize`` keep the sorted output of
 :func:`bht.space.merge_families` as it is.  For one-dimensional spaces the
 canonical form is the classical reduced table and is unique per element; in
@@ -42,34 +38,9 @@ from typing import Iterable
 
 from .errors import DomainError, OverlapError
 from .space import (
-    Brick, BrickIndex, Cell, Clopen, RationalPoint, SpaceSpec, compose_cells, measures, merge_families,
+    Brick, Cell, Clopen, RationalPoint, SpaceSpec, brick_subtract, compose_cells, measures, merge_families,
+    overlap,
 )
-
-
-def _head_inside(b: Brick, a: Brick) -> bool:
-    """Whether b's root and dimension-0 word lie in a's: the roots agree and
-    a's word is a prefix of b's."""
-    w = a.words[0]
-    return b.root == a.root and b.words[0][:len(w)] == w
-
-
-def _check_disjoint(side: str, bricks: list[Brick]):
-    """Raise on the first brick that meets another, naming its first partner.
-
-    A list whose roots and dimension-0 words form a prefix code, as its
-    sorted neighbours show (see the module docstring), passes at once.
-    """
-    ordered = sorted(bricks)
-    if not any(map(_head_inside, ordered[1:], ordered)):
-        return
-    index = BrickIndex(ordered)
-    for i, b in enumerate(bricks):
-        hits = index.meeting(b)
-        if len(hits) > 1:
-            # ordered[j] is bricks[order[j]]
-            order = sorted(range(len(bricks)), key=bricks.__getitem__)
-            partner = min(order[j] for j in hits if order[j] != i)
-            raise OverlapError(side, b, bricks[partner])
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -86,10 +57,9 @@ class PrefixBijection:
     def __init__(self, space: SpaceSpec, cells: Iterable[Cell]):
         cells = sorted(map(tuple, cells))
         Brick.validate(space, list(chain.from_iterable(cells)))
-        sources = [d for d, _ in cells]
-        targets = sorted(r for _, r in cells)
-        _check_disjoint("source", sources)
-        _check_disjoint("target", targets)
+        for side, bricks in (("source", [d for d, _ in cells]), ("target", sorted(r for _, r in cells))):
+            if pair := overlap(bricks):
+                raise OverlapError(side, *pair)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cells", tuple(cells))
 
@@ -146,9 +116,10 @@ def identity(space: SpaceSpec) -> TableElement:
 
 def extend_by_identity(space: SpaceSpec, cells: list[Cell]) -> TableElement:
     """Canonical table acting by ``cells`` (a bisection of a clopen onto
-    itself) and as the identity off its source."""
-    rest = Clopen._wrap(space, [d for d, _ in cells]).complement()
-    return TableElement._wrap(space, merge_families(space, cells + [(x, x) for x in rest.bricks]))
+    itself) and as the identity off its source: the roots less the sources,
+    one :func:`bht.space.brick_subtract` sweep."""
+    rest = brick_subtract(space, space.full().bricks, [d for d, _ in cells])
+    return TableElement._wrap(space, merge_families(space, cells + [(x, x) for x in rest]))
 
 
 def inverse_cells(g: PrefixBijection) -> list[Cell]:

@@ -30,9 +30,12 @@ are adjacent.  The kernels rest on this:
 - :func:`merge_families`, in one dimension, runs one stack over the sorted
   cells and replaces the k cells of each complete family by their parent,
   which sorts where they were;
-- ``element._check_disjoint`` accepts at once, in any dimension count, a
-  list whose roots and dimension-0 words form a prefix code, which its
-  sorted neighbours show.
+- :func:`overlap`, the one disjointness test, passes at once, in any
+  dimension count, a list whose roots and dimension-0 words form a prefix
+  code, which its sorted neighbours show; otherwise it looks each brick up
+  in a :class:`BrickIndex`.  ``PrefixBijection(...)`` calls it on each side,
+  :meth:`Clopen.isdisjoint` and the family claims of ``bht.verify`` on the
+  pooled bricks of canonical sets.
 
 For n >= 2 dimension-major order does not keep siblings adjacent (with the
 sources ``(e, 0)``, ``(0, 1)`` and ``(1, 1)``, splitting the first along
@@ -543,6 +546,29 @@ class BrickIndex:
         return levels
 
 
+def overlap(bricks: Sequence[Brick]) -> tuple[Brick, Brick] | None:
+    """The first brick of the list, in the order given, that meets another,
+    with its first partner, or None.
+
+    Two (root, dimension-0 word) keys nest only when one word is a prefix of
+    the other, and every key sorted between them extends the shorter, so
+    when no sorted neighbour's key lies in the one before it, the bricks are
+    disjoint.  Otherwise each brick is looked up in a :class:`BrickIndex`.
+    """
+    ordered = sorted(bricks)
+    if not any(b.root == a.root and b.words[0][:len(a.words[0])] == a.words[0]
+               for a, b in zip(ordered, ordered[1:])):
+        return None
+    index = BrickIndex(ordered)
+    for i, b in enumerate(bricks):
+        hits = index.meeting(b)
+        if len(hits) > 1:
+            # ordered[j] is bricks[order[j]]
+            order = sorted(range(len(bricks)), key=bricks.__getitem__)
+            return b, bricks[min(order[j] for j in hits if order[j] != i)]
+    return None
+
+
 def compose_cells(f_cells: Iterable[Cell], g_cells: Iterable[Cell]) -> Iterator[Cell]:
     """Cells of the partial map f after g, one per meeting g-target and f-source.
 
@@ -655,8 +681,9 @@ class Clopen:
         return inside == whole
 
     def isdisjoint(self, other: "Clopen") -> bool:
+        # each set's own bricks are disjoint: a meeting pair has one of each
         self.space.check_same(other.space)
-        return not any(compose_cells([(c, c) for c in other.bricks], [(b, b) for b in self.bricks]))
+        return overlap(self.bricks + other.bricks) is None
 
 
 def same_set(a: Clopen, b: Clopen) -> bool:

@@ -18,7 +18,7 @@ of each word suffix it needs once per call.
 
 from dataclasses import dataclass
 
-from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity
+from .element import PrefixBijection, TableElement, compose_partial, extend_by_identity, inverse_cells
 from .errors import DomainError
 from .space import Clopen, Word, binary_space, compose_cells, h0_class, same_set
 from .witness import _split_brick_list, _split_nonempty, bisection_between
@@ -107,6 +107,6 @@ def evaluate_embedding(emb: VEmbedding, v: TableElement) -> TableElement:
 
     cells = []
     for d, r in v.cells:
-        back = [(t, s) for s, t in word_bisection(d.words[0]).cells]
+        back = inverse_cells(word_bisection(d.words[0]))
         cells += compose_cells(word_bisection(r.words[0]).cells, back)
     return extend_by_identity(space, cells)

@@ -8,11 +8,15 @@ parameter that no check reads is a parse error.
 Set claims rest on no canonical form.  Containment is
 ``Clopen.issubset`` (the meets of one set with the other, weighed against
 it), equality is ``space.same_set`` (equal values, or each inside the
-other), and a strict claim is the failure of the reverse containment.  So
-the trusted base is ``space.compose_cells``, the measure
-(``space.measures``), ``element.identity_cells`` and the test of equal
-brick tuples; the sets the checks build (sources, images, unions) must
-denote the right points, but two forms of one set need not agree.
+other), and a strict claim is the failure of the reverse containment.
+Disjointness is ``space.overlap``; a claim on a family of sets (the cycle
+sets, the targets) pools the bricks of all of them into one call, which
+finds a meeting pair exactly when two of the sets meet, as the bricks of
+each canonical set are disjoint.  So the trusted base is
+``space.compose_cells``, the measure (``space.measures``),
+``space.overlap``, ``element.identity_cells`` and the test of equal brick
+tuples; the sets the checks build (sources, images, unions) must denote the
+right points, but two forms of one set need not agree.
 
 A claimed conjugate c = h g h^-1 is decided on raw cells: c h = h g exactly
 when c h g^-1 h^-1 is the identity, and whether every cell is an identity
@@ -31,7 +35,7 @@ from .element import (
     order,
 )
 from .errors import ParseError
-from .space import Clopen, SpaceSpec, binary_space, compose_cells, point_in, same_set
+from .space import Clopen, SpaceSpec, binary_space, compose_cells, overlap, point_in, same_set
 from .textio import Witness, parse_point
 from .vembed import VEmbedding, embedding_checks, evaluate_embedding
 from .witness import vigor_case
@@ -135,7 +139,7 @@ def _check_multisection(w: _Reading) -> list[Check]:
     # meets it, so it is listed only when violated.  Nonemptiness needs no
     # check: the maps above force all three sets empty together, and then the
     # support is empty and the order check fails.
-    if not (x0.isdisjoint(x1) and x0.isdisjoint(x2) and x1.isdisjoint(x2)):
+    if overlap(x0.bricks + x1.bricks + x2.bricks):
         checks.append((False, "cycle sets pairwise disjoint"))
     return checks
 
@@ -184,11 +188,7 @@ def _check_conjugates(w: _Reading) -> list[Check]:
         checks.append((_conjugated(conjugates[i], conjugators[i], g),
                        "conjugate %d equals h g h^-1" % (i + 1)))
         checks.append((inside[i], "conjugate %d maps the moved brick into its target" % (i + 1)))
-    disjoint = all(
-        targets[i].isdisjoint(targets[j])
-        for i in range(count)
-        for j in range(i + 1, count)
-    )
+    disjoint = not overlap([b for t in targets for b in t.bricks])
     # two conjugates send a point of ``moved`` into disjoint targets, so they
     # differ; only when that argument fails are they compared
     distinct = (not moved.is_empty() and all(inside) and disjoint) or all(

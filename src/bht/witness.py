@@ -165,17 +165,13 @@ def multisection(x0: Clopen, x1: Clopen, x2: Clopen) -> Multisection:
 
 
 def vigor_case(x: Clopen, y1: Clopen, y2: Clopen) -> str:
-    """Which construction a vigor witness for (x, y1, y2) uses: 'a' identity,
-    'b' one order-3 cycle, 'c' product of two cycles."""
-    return _vigor_split(y1, y2)[0]
-
-
-def _vigor_split(y1: Clopen, y2: Clopen) -> tuple[str, Clopen | None]:
-    # the vigor case and, past case a, y2 \ y1: the free region of case b
+    """Which construction a vigor witness for (x, y1, y2) uses: 'a' identity
+    when y1 lies inside y2, 'c' product of two cycles when y2 lies inside y1
+    (the free region y2 \\ y1 is empty), 'b' one order-3 cycle otherwise.
+    Two containment tests; no difference is taken."""
     if y1.issubset(y2):
-        return "a", None
-    free = y2.difference(y1)
-    return ("c" if free.is_empty() else "b"), free
+        return "a"
+    return "c" if y2.issubset(y1) else "b"
 
 
 def _split_nonempty(z: Clopen) -> tuple[Clopen, Clopen]:
@@ -212,11 +208,11 @@ def vigor_witness(x: Clopen, y1: Clopen, y2: Clopen) -> TableElement:
         raise DomainError("y1 and y2 must lie inside the supporting clopen")
     if y2.is_empty():
         raise DomainError("the target clopen must be nonempty")
-    case, free = _vigor_split(y1, y2)
+    case = vigor_case(x, y1, y2)
     if case == "a":
         return identity(x.space)
     if case == "b":
-        return _vigor_cycle(y1, free)
+        return _vigor_cycle(y1, y2.difference(y1))
     if same_set(y1, x):
         raise UnsatisfiableError(
             "no element supported in x can move all of x strictly into itself"
@@ -267,7 +263,7 @@ def conjugate_family(g: TableElement, count: int) -> ConjugateFamily:
     img = image_clopen(gc, y1)
     if not img.isdisjoint(y1):
         raise AssertionError("extracted brick is not moved off itself")
-    room = y1.union(img).complement()
+    room = Clopen._wrap(space, space.full().bricks, y1.bricks + img.bricks)
     pieces = [room.bricks[0]]
     while len(pieces) < count:
         pieces = subdivide(space, pieces[0], 0) + pieces[1:]

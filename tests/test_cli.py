@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bht
+import bht.verify
 from bht import cli
 from bht.cli import main
 from bht.element import TableElement
@@ -118,6 +119,22 @@ def test_multisection_and_conjugates_verify(capsys, tmp_path, swap_file):
     wfile = write(tmp_path, "c.txt", out)
     code, out2, _ = run(capsys, "verify", wfile)
     assert code == 0 and "FAIL" not in out2
+
+
+def test_verify_pools_the_targets_into_one_overlap_test(capsys, tmp_path, swap_file, monkeypatch):
+    # "targets pairwise disjoint" is one overlap test over the bricks of all
+    # ten targets; no pair of sets is tested alone
+    code, out, _ = run(capsys, "conjugates", swap_file, "--count", "10")
+    assert code == 0
+    wfile = write(tmp_path, "c.txt", out)
+    blocks = parse_witness(out).blocks
+    calls = []
+    overlap = bht.verify.overlap
+    monkeypatch.setattr(bht.verify, "overlap", lambda bricks: calls.append(list(bricks)) or overlap(bricks))
+    monkeypatch.setattr(Clopen, "isdisjoint", lambda a, b: pytest.fail("verify took a pairwise isdisjoint"))
+    code, out2, _ = run(capsys, "verify", wfile)
+    assert code == 0 and "FAIL" not in out2
+    assert calls == [[b for i in range(1, 11) for b in blocks["target%d" % i].bricks]]
 
 
 def test_compressibility_commands(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import bht.element
 import bht.space
 from bht.element import (
     PrefixBijection,
@@ -14,6 +15,7 @@ from bht.element import (
     compose,
     compose_partial,
     equals,
+    extend_by_identity,
     identity,
     image_clopen,
     invert,
@@ -112,6 +114,23 @@ def test_compose_meets_only_overlapping_bricks(monkeypatch):
         if space.n == 1:
             assert len(probes) == 2 * len(g.cells)
         assert equals(fg, TableElement(space, compose_cells_all_pairs(f.cells, g.cells)))
+
+
+def test_extend_by_identity_takes_one_sweep(monkeypatch):
+    # the identity part is the roots less the sources, one brick_subtract
+    # call with no canonical form of the sources before it
+    cases = [(V2, [(B(0, "00"), B(0, "01")), (B(0, "01"), B(0, "00"))], [B(0, "1")]),
+             (V23, [(B(0, "0", "1"), B(0, "1", "0")), (B(0, "1", "0"), B(0, "0", "1"))],
+              [B(0, "0", "0"), B(0, "0", "2"), B(0, "1", "1"), B(0, "1", "2")])]
+    expected = [canonicalize(TableElement(space, cells + [(b, b) for b in rest])) for space, cells, rest in cases]
+    calls = []
+    sweep = bht.space.brick_subtract
+    for module in (bht.space, bht.element):
+        monkeypatch.setattr(module, "brick_subtract", lambda *args: calls.append(args) or sweep(*args),
+                            raising=False)
+    for (space, cells, _), want in zip(cases, expected):
+        calls.clear()
+        assert extend_by_identity(space, cells) == want and len(calls) == 1
 
 
 def test_invert_examples():

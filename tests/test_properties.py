@@ -6,6 +6,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from bht.abelian import AbelianGroup  # noqa: E402
 from bht.cli import main  # noqa: E402
 from bht.element import (  # noqa: E402
-    PrefixBijection, TableElement, _check_disjoint, apply_point, canonicalize, compose,
+    PrefixBijection, TableElement, apply_point, canonicalize, compose,
     compose_partial, equals, identity, image_clopen, invert, invert_partial, is_identity,
 )
 from bht.errors import DomainError, ParseError  # noqa: E402
@@ -24,7 +25,7 @@ from bht.sampling import (  # noqa: E402
 )
 from bht.space import (  # noqa: E402
     Brick, BrickIndex, Clopen, RationalPoint, SpaceSpec, _section_words, brick_subtract, canonical_bricks,
-    compose_cells, h0_class, measures, merge_families, point_in, same_set, subdivide,
+    compose_cells, h0_class, measures, merge_families, overlap, point_in, same_set, subdivide,
 )
 from bht.textio import (  # noqa: E402
     Witness, format_bisection, format_clopen, format_point, format_table, format_witness, parse_witness,
@@ -532,9 +533,16 @@ def test_brick_index_meeting_matches_brute_force(case):
     lambda sp: st.tuples(st.just(sp), nested_bricks(sp, 6), nested_bricks(sp, 6))))
 def test_isdisjoint_matches_intersect(sides):
     space, left, right = sides
-    x, y = Clopen(space, left), Clopen(space, right + left[:1])
-    for u, v in ((x, y), (y, x), (x, x), (x, x.complement()), (x, Clopen(space, right))):
+    x, y, z = Clopen(space, left), Clopen(space, right + left[:1]), Clopen(space, right)
+    for u, v in ((x, y), (y, x), (x, x), (x, x.complement()), (x, z)):
         assert u.isdisjoint(v) == u.intersect(v).is_empty()
+    # families with equal, nested and empty members: the pooled bricks of
+    # canonical sets overlap exactly when two of the sets meet
+    pool = (x, y, z, x, x.intersect(y), x.complement(), z.complement(), space.empty())
+    for size in (3, 4):
+        for family in combinations(pool, size):
+            pairwise = all(u.intersect(v).is_empty() for u, v in combinations(family, 2))
+            assert (overlap([b for u in family for b in u.bricks]) is None) == pairwise
 
 
 def _point_of(space, b: Brick, rng) -> RationalPoint:
@@ -613,11 +621,8 @@ def partition_with_overlap(draw):
 @settings(SETTINGS, max_examples=3 * SETTINGS.max_examples)
 @given(partition_with_overlap())
 def test_check_disjoint_names_the_pairwise_overlap(bs):
-    try:
-        _check_disjoint("source", bs)
-        got = None
-    except DomainError as err:
-        got = str(err)
+    pair = overlap(bs)
+    got = None if pair is None else "source bricks overlap: %r, %r" % pair
     assert got == _pairwise_overlap(bs)
 
 

@@ -415,14 +415,26 @@ def test_witnesses_run_no_validating_constructor(monkeypatch):
 
 
 def test_vigor_case_b_takes_its_free_region_once(monkeypatch):
-    # the case rule and the cycle's free region share one y2 \ y1; the other
-    # difference is the complement that closes the cycle
+    # the case rule takes no difference, the cycle's free region is the one
+    # y2 \ y1, and the identity that completes the cycle is one sweep of the
+    # roots less its source, not a difference
     x, y1, y2 = clp(V2, "0"), clp(V2, "00"), clp(V2, "01")
     calls = []
     difference = Clopen.difference
     monkeypatch.setattr(Clopen, "difference", lambda a, b: calls.append((a, b)) or difference(a, b))
     vigor_witness(x, y1, y2)
-    assert len(calls) == 2 and calls.count((y2, y1)) == 1
+    assert calls == [(y2, y1)]
+
+
+def test_vigor_case_takes_no_difference(monkeypatch):
+    # y2 \ y1 is empty exactly when y2 lies inside y1, so two containment
+    # tests decide the case
+    monkeypatch.setattr(Clopen, "difference", lambda a, b: pytest.fail("vigor_case took a difference"))
+    x = clp(V23, "0,e", "1,2")
+    for y1, y2, case in ((clp(V23, "0,1"), clp(V23, "0,e"), "a"), (clp(V23, "0,1"), clp(V23, "0,1"), "a"),
+                         (clp(V23, "0,1"), clp(V23, "0,2"), "b"), (clp(V23, "0,1", "1,2"), clp(V23, "0,2", "1,2"), "b"),
+                         (clp(V23, "0,e"), clp(V23, "0,2"), "c"), (x, clp(V23, "1,2"), "c")):
+        assert vigor_case(x, y1, y2) == case
 
 
 def test_each_set_claim_fails_alone_under_some_mutation():
@@ -568,6 +580,13 @@ def test_each_conjugates_claim_fails_alone_under_some_mutation():
         claims = run_checks(w)
         assert claims == conjugate_claims(w.blocks, w.params)
         assert [what for ok, what in claims if not ok] == broken, change
+    # the targets claim reads every target, not only the first two
+    fam = conjugate_family(swap, 3)
+    blocks = dict(conjugate_blocks(fam), target3=fam.targets[2].union(fam.targets[0]))
+    w = parse_witness(format_witness(Witness("conjugates", params={"count": "3"}, blocks=blocks)))
+    claims = run_checks(w)
+    assert claims == conjugate_claims(w.blocks, w.params)
+    assert [what for ok, what in claims if not ok] == ["targets pairwise disjoint"]
 
 
 def test_each_compressibility_claim_fails_alone_under_some_mutation():
